@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -29,18 +31,11 @@ from .friction import ContactState, Direction, classify_contact_state, ecmsf, \
     max_resistible_force, pressing_force
 from .kinematics import GeometryInfeasible, SolverFailure, deformation_limits, \
     projected_width_wx, solve_joint_angles
-from .plant import StepSummary, make_world, records_to_csv, run_scenario
+from .plant import StepSummary, _fmt6, make_world, records_to_csv, run_scenario
 from .sensing import BehindCamera, NotCalibrated, calibrate_sc_reference, frame_to_ppm, \
     image_width_wimg, red_area_ratio, render_synthetic_frame
 
 _BUNDLED_SCENARIO = "tube_5step.json"
-
-
-def _fmt6(x: float) -> str:
-    v = float(x)
-    if v == 0.0:
-        v = 0.0
-    return f"{v:.6g}"
 
 
 def _write_atomic(path: str, data: bytes) -> None:
@@ -238,12 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, val in vars(args).items():
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {val!r}")
         cfg = load_config(args.config)
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("--seed must be >= 0")
-            cfg = Config(geometry=cfg.geometry, camera=cfg.camera, friction=cfg.friction,
-                         controller=cfg.controller, object=cfg.object, seed=args.seed)
+            cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.command == "ratio-curve":
             _emit(cmd_ratio_curve(cfg, args), args.out)
         elif args.command == "press-curve":

@@ -13,6 +13,7 @@ initial_gap_mm settings.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,9 +59,17 @@ def _reject_unknown(data: dict, allowed: tuple[str, ...], where: str) -> None:
 
 
 def _number(val, where: str) -> float:
+    """A finite float; json.loads accepts NaN and Infinity, so they are
+    rejected here."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where} must be a number, got {val!r}")
-    return float(val)
+    try:
+        num = float(val)
+    except OverflowError:  # an integer beyond the float range
+        num = math.inf
+    if not math.isfinite(num):
+        raise ConfigError(f"{where} must be finite, got {num!r}")
+    return num
 
 
 def _coeff_table(data, where: str) -> dict:

@@ -17,9 +17,14 @@ values stored on CavsGeometry are mutually over-determined (the rest endpoint
 E0 is slightly out of reach of l1 + l3), so the rest pose is the least-squares
 fit to the three endpoint conditions inside the admissible angle box, and the
 operating constraints above are anchored to the pose actually achieved.
+
+Everything derived from one geometry (rest pose, branch nodes, d_sc reference
+state, deformation limits) lives in one FingertipModel, built once per
+geometry by fingertip_model.
 """
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -32,8 +37,9 @@ THETA1_BOX = (-math.pi, 0.0)
 THETA2_BOX = (0.0, math.pi)
 
 _NEWTON_CAP = 200
-_JAC_H = 1e-7
+_REST_CAP = 30
 _RESIDUAL_TOL = 1e-12  # well inside the 1e-9 contract
+_GRID = 0.05  # branch node spacing in mm
 
 
 class GeometryInfeasible(ValueError):
@@ -92,10 +98,6 @@ class RestPose:
     residual: tuple[float, float, float]  # (Ex, Ey, Cx) misfit at rest, mm
 
 
-def _link(theta: float) -> tuple[float, float]:
-    return (-math.sin(theta), math.cos(theta))
-
-
 def _points(geom: CavsGeometry, theta1: float, theta2: float):
     """Raw endpoint coordinates for the given angles."""
     a = theta1 + theta2
@@ -109,67 +111,33 @@ def _points(geom: CavsGeometry, theta1: float, theta2: float):
     return (cx, cy), (dx, dy), (ex, ey), gamma
 
 
-def _rest_misfit(geom: CavsGeometry, theta1: float, theta2: float) -> float:
-    (cx, _), _, (ex, ey), _ = _points(geom, theta1, theta2)
-    return (ex - geom.p_ex0) ** 2 + (ey - geom.p_ey0) ** 2 + (cx - geom.p_cx0) ** 2
-
-
-def _rest_gradient(geom: CavsGeometry, t1: float, t2: float) -> tuple[float, float]:
-    """Gradient of the rest misfit: 2 * J^T r with the analytic Jacobian of
-    the (Ex, Ey, Cx) residuals."""
+def _partials(geom: CavsGeometry, t1: float, t2: float):
+    """Analytic partials of the (Ex, Ey, Cx) coordinates: (d/dt1, d/dt2,
+    d2/dt1^2, d2/dt2^2).  theta2 enters only through t1 + t2, so the mixed
+    second partial equals d2/dt2^2."""
     a = t1 + t2
-    o = SPOKE_HALF_ANGLE
+    s1, c1 = geom.l1 * math.sin(t1), geom.l1 * math.cos(t1)
+    se, ce = geom.l3 * math.sin(a + SPOKE_HALF_ANGLE), geom.l3 * math.cos(a + SPOKE_HALF_ANGLE)
+    sc, cc = geom.l2 * math.sin(a), geom.l2 * math.cos(a)
+    return ((-(c1 + ce), -(s1 + se), -(c1 + cc)),
+            (-ce, -se, -cc),
+            (s1 + se, -(c1 + ce), s1 + sc),
+            (se, -ce, sc))
+
+
+def _rest_residual(geom: CavsGeometry, t1: float, t2: float) -> tuple[float, float, float]:
     (cx, _), _, (ex, ey), _ = _points(geom, t1, t2)
-    r = (ex - geom.p_ex0, ey - geom.p_ey0, cx - geom.p_cx0)
-    j1 = (-(geom.l1 * math.cos(t1) + geom.l3 * math.cos(a + o)),
-          -(geom.l1 * math.sin(t1) + geom.l3 * math.sin(a + o)),
-          -(geom.l1 * math.cos(t1) + geom.l2 * math.cos(a)))
-    j2 = (-geom.l3 * math.cos(a + o), -geom.l3 * math.sin(a + o), -geom.l2 * math.cos(a))
-    g1 = 2.0 * sum(ji * ri for ji, ri in zip(j1, r))
-    g2 = 2.0 * sum(ji * ri for ji, ri in zip(j2, r))
-    return g1, g2
+    return ex - geom.p_ex0, ey - geom.p_ey0, cx - geom.p_cx0
 
 
-def _polish_rest(geom: CavsGeometry, t1: float, t2: float) -> tuple[float, float]:
-    """Newton on the normal equations, numeric Jacobian of the gradient."""
-    h = 1e-7
-    for _ in range(30):
-        g1, g2 = _rest_gradient(geom, t1, t2)
-        a11 = (_rest_gradient(geom, t1 + h, t2)[0] - _rest_gradient(geom, t1 - h, t2)[0]) / (2 * h)
-        a12 = (_rest_gradient(geom, t1, t2 + h)[0] - _rest_gradient(geom, t1, t2 - h)[0]) / (2 * h)
-        a21 = (_rest_gradient(geom, t1 + h, t2)[1] - _rest_gradient(geom, t1 - h, t2)[1]) / (2 * h)
-        a22 = (_rest_gradient(geom, t1, t2 + h)[1] - _rest_gradient(geom, t1, t2 - h)[1]) / (2 * h)
-        det = a11 * a22 - a12 * a21
-        if abs(det) < 1e-12:
-            break
-        s1 = (-g1 * a22 + g2 * a12) / det
-        s2 = (-a11 * g2 + a21 * g1) / det
-        t1 += s1
-        t2 += s2
-        if max(abs(s1), abs(s2)) < 1e-12:
-            break
-    return t1, t2
-
-
-_rest_cache: dict[CavsGeometry, RestPose] = {}
-_rest_lock = threading.Lock()
-
-
-def rest_pose(geom: CavsGeometry) -> RestPose:
-    """Least-squares root of the three rest endpoint conditions
-    {p_Ex = p_ex0, p_Ey = p_ey0, p_Cx = p_cx0} over the angle box.
-
-    Coarse vectorized grid scan followed by compass-search refinement;
-    deterministic for a given geometry.
-    """
-    with _rest_lock:
-        hit = _rest_cache.get(geom)
-    if hit is not None:
-        return hit
-
-    n1, n2 = 700, 700
-    t1g = np.linspace(THETA1_BOX[0] + 1e-6, THETA1_BOX[1] - 1e-6, n1)
-    t2g = np.linspace(THETA2_BOX[0] + 1e-6, THETA2_BOX[1] - 1e-6, n2)
+def _fit_rest(geom: CavsGeometry) -> RestPose:
+    """Grid argmin of the rest misfit, then Newton on the normal equations
+    with analytic second derivatives (the misfit at rest is comparable to
+    the link lengths, so Gauss-Newton would drop a term that matters).
+    Raises GeometryInfeasible unless Newton converges to an interior
+    minimum."""
+    t1g = np.linspace(THETA1_BOX[0] + 1e-6, THETA1_BOX[1] - 1e-6, 700)
+    t2g = np.linspace(THETA2_BOX[0] + 1e-6, THETA2_BOX[1] - 1e-6, 700)
     T1, T2 = np.meshgrid(t1g, t2g, indexing="ij")
     A = T1 + T2
     ex = geom.p_ax - (geom.l1 * np.sin(T1) + geom.l3 * np.sin(A + SPOKE_HALF_ANGLE))
@@ -179,21 +147,27 @@ def rest_pose(geom: CavsGeometry) -> RestPose:
     i, j = np.unravel_index(int(np.argmin(S)), S.shape)
     t1, t2 = float(t1g[i]), float(t2g[j])
 
-    # compass search into the basin, then Newton on the normal equations
-    step = float(t1g[1] - t1g[0])
-    best = _rest_misfit(geom, t1, t2)
-    while step > 1e-8:
-        moved = False
-        for dt1, dt2 in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            c1 = min(max(t1 + dt1, THETA1_BOX[0] + 1e-9), THETA1_BOX[1] - 1e-9)
-            c2 = min(max(t2 + dt2, THETA2_BOX[0] + 1e-9), THETA2_BOX[1] - 1e-9)
-            val = _rest_misfit(geom, c1, c2)
-            if val < best:
-                t1, t2, best = c1, c2, val
-                moved = True
-        if not moved:
-            step *= 0.5
-    t1, t2 = _polish_rest(geom, t1, t2)
+    converged = False
+    for _ in range(_REST_CAP):
+        r = _rest_residual(geom, t1, t2)
+        j1, j2, h11, h22 = _partials(geom, t1, t2)
+        g1 = sum(x * y for x, y in zip(j1, r))
+        g2 = sum(x * y for x, y in zip(j2, r))
+        a11 = sum(x * x + y * z for x, y, z in zip(j1, r, h11))
+        a12 = sum(x * w + y * z for x, w, y, z in zip(j1, j2, r, h22))
+        a22 = sum(x * x + y * z for x, y, z in zip(j2, r, h22))
+        det = a11 * a22 - a12 * a12
+        if det == 0.0:
+            break
+        s1 = (a12 * g2 - a22 * g1) / det
+        s2 = (a12 * g1 - a11 * g2) / det
+        t1 += s1
+        t2 += s2
+        if max(abs(s1), abs(s2)) < 1e-12:
+            converged = det > 0.0 and a11 > 0.0  # a minimum, not a saddle or a maximum
+            break
+    if not converged:
+        raise GeometryInfeasible("rest-pose fit did not converge to a minimum in the angle box")
 
     margin = 1e-6
     if (t1 - THETA1_BOX[0] < margin or THETA1_BOX[1] - t1 < margin
@@ -201,24 +175,17 @@ def rest_pose(geom: CavsGeometry) -> RestPose:
         raise GeometryInfeasible("no interior rest configuration in the angle box")
 
     (cx0, _), _, (ex0, ey0), _ = _points(geom, t1, t2)
-    pose = RestPose(
+    return RestPose(
         theta1=t1,
         theta2=t2,
         p_ey0_eff=ey0,
         p_cx0_eff=cx0,
         residual=(ex0 - geom.p_ex0, ey0 - geom.p_ey0, cx0 - geom.p_cx0),
     )
-    with _rest_lock:
-        _rest_cache[geom] = pose
-    return pose
 
 
-def forward_points(geom: CavsGeometry, theta1: float, theta2: float) -> JointState:
-    """Endpoint positions, contact half-angle gamma, and deformation d for
-    the given joint angles.  d is the drop of the apex E below its rest
-    height.  Total over admissible angles."""
+def _joint_state(geom: CavsGeometry, pose: RestPose, theta1: float, theta2: float) -> JointState:
     p_c, p_d, p_e, gamma = _points(geom, theta1, theta2)
-    pose = rest_pose(geom)
     return JointState(
         theta1=theta1,
         theta2=theta2,
@@ -241,9 +208,9 @@ def _constraints(geom: CavsGeometry, pose: RestPose, t1: float, t2: float, d: fl
 
 def _newton(geom: CavsGeometry, pose: RestPose, t1: float, t2: float, d: float,
             budget: list[int]) -> tuple[float, float]:
-    """Damped Newton on the 2x2 constraint system; central-difference
-    Jacobian.  Raises SolverFailure on budget exhaustion or box exit."""
-    h = _JAC_H
+    """Damped Newton on the 2x2 constraint system; its Jacobian is the Ey
+    and Cx rows of _partials.  Raises SolverFailure on budget exhaustion or
+    box exit."""
     for _ in range(_NEWTON_CAP):
         if budget[0] <= 0:
             raise SolverFailure(f"iteration cap {_NEWTON_CAP} exceeded at d={d:g}")
@@ -254,14 +221,8 @@ def _newton(geom: CavsGeometry, pose: RestPose, t1: float, t2: float, d: float,
             if not _in_box(t1, t2):
                 raise SolverFailure(f"solution leaves the admissible angle box at d={d:g}")
             return t1, t2
-        a11 = (_constraints(geom, pose, t1 + h, t2, d)[0]
-               - _constraints(geom, pose, t1 - h, t2, d)[0]) / (2 * h)
-        a12 = (_constraints(geom, pose, t1, t2 + h, d)[0]
-               - _constraints(geom, pose, t1, t2 - h, d)[0]) / (2 * h)
-        a21 = (_constraints(geom, pose, t1 + h, t2, d)[1]
-               - _constraints(geom, pose, t1 - h, t2, d)[1]) / (2 * h)
-        a22 = (_constraints(geom, pose, t1, t2 + h, d)[1]
-               - _constraints(geom, pose, t1, t2 - h, d)[1]) / (2 * h)
+        j1, j2, _, _ = _partials(geom, t1, t2)
+        a11, a12, a21, a22 = j1[1], j2[1], j1[2], j2[2]
         det = a11 * a22 - a12 * a21
         if abs(det) < 1e-14:
             raise SolverFailure(f"singular Jacobian at d={d:g}")
@@ -276,38 +237,6 @@ def _newton(geom: CavsGeometry, pose: RestPose, t1: float, t2: float, d: float,
         t1 += lam * s1
         t2 += lam * s2
     raise SolverFailure(f"iteration cap {_NEWTON_CAP} exceeded at d={d:g}")
-
-
-_GRID = 0.05  # branch cache spacing in mm
-_branch_cache: dict[tuple[CavsGeometry, int], tuple[float, float]] = {}
-_branch_lock = threading.Lock()
-
-
-def _branch_node(geom: CavsGeometry, k: int) -> tuple[float, float]:
-    """Angles on the followed branch at d = k * _GRID, memoized."""
-    with _branch_lock:
-        hit = _branch_cache.get((geom, k))
-    if hit is not None:
-        return hit
-    pose = rest_pose(geom)
-    # walk down to the highest cached node, then fill upward iteratively
-    start = k - 1
-    val: tuple[float, float] | None = None
-    while start >= 0:
-        with _branch_lock:
-            val = _branch_cache.get((geom, start))
-        if val is not None:
-            break
-        start -= 1
-    if val is None:
-        start, val = 0, (pose.theta1, pose.theta2)
-        with _branch_lock:
-            _branch_cache[(geom, 0)] = val
-    for j in range(start + 1, k + 1):
-        val = _continue_to(geom, pose, val[0], val[1], (j - 1) * _GRID, j * _GRID)
-        with _branch_lock:
-            _branch_cache[(geom, j)] = val
-    return val
 
 
 def _continue_to(geom: CavsGeometry, pose: RestPose, t1: float, t2: float,
@@ -333,31 +262,130 @@ def _continue_to(geom: CavsGeometry, pose: RestPose, t1: float, t2: float,
     return t1, t2
 
 
+class FingertipModel:
+    """What kinematics derives from one geometry, each part built once.
+
+    The rest pose is fitted on construction (GeometryInfeasible when there
+    is none).  Branch nodes at d = k * 0.05 mm form an append-only list, node
+    k continued from node k - 1; the lock guards only its extension.  The
+    d_sc reference state and the deformation limits are computed on first
+    use, so a rest pose that breaks the sensing bounds still solves; threads
+    that race there compute the same values.
+    """
+
+    def __init__(self, geom: CavsGeometry) -> None:
+        self.geom = geom
+        self.rest = _fit_rest(geom)
+        self._nodes = [(self.rest.theta1, self.rest.theta2)]
+        self._extend = threading.Lock()
+        self._reference: JointState | None = None
+        self._limits: tuple[float, float] | None = None
+
+    def node(self, k: int) -> tuple[float, float]:
+        """Angles on the followed branch at d = k * 0.05 mm."""
+        nodes = self._nodes
+        if k >= len(nodes):
+            with self._extend:
+                while len(nodes) <= k:
+                    j = len(nodes)
+                    nodes.append(_continue_to(self.geom, self.rest, *nodes[-1],
+                                              (j - 1) * _GRID, j * _GRID))
+        return nodes[k]
+
+    def solve(self, d: float) -> JointState:
+        """See solve_joint_angles."""
+        if not math.isfinite(d) or d < 0.0:
+            raise ValueError(f"deformation must be finite and >= 0, got {d!r}")
+        k = round(d / _GRID)
+        t1, t2 = self.node(k)
+        if d != k * _GRID:
+            t1, t2 = _continue_to(self.geom, self.rest, t1, t2, k * _GRID, d)
+        return _joint_state(self.geom, self.rest, t1, t2)
+
+    def reference(self) -> JointState:
+        """The state at d = d_sc, the full-contact sensing reference."""
+        if self._reference is None:
+            self._reference = self.solve(self.geom.d_sc)
+        return self._reference
+
+    def limits(self) -> tuple[float, float]:
+        """See deformation_limits."""
+        if self._limits is not None:
+            return self._limits
+
+        def ok(d: float) -> bool:
+            try:
+                st = self.solve(d)
+            except SolverFailure:
+                return False
+            return math.cos(st.gamma) >= 0.0 and st.p_D[1] > 0.0
+
+        if not ok(0.0):
+            raise GeometryInfeasible("rest configuration violates the sensing bounds")
+        # hard geometric ceiling: apex cannot drop below full extension
+        geom = self.geom
+        d_hi = self.rest.p_ey0_eff - geom.p_ay + geom.l1 + geom.l3
+        lo, d = 0.0, 0.0
+        coarse = 0.05
+        while d < d_hi and ok(d + coarse):
+            d += coarse
+            lo = d
+        fine = lo
+        while fine < min(lo + coarse, d_hi) and ok(fine + 0.001):
+            fine += 0.001
+        lo, hi = fine, fine + 0.001
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if ok(mid):
+                lo = mid
+            else:
+                hi = mid
+        self._limits = (0.0, lo)
+        return self._limits
+
+
+@functools.cache
+def fingertip_model(geom: CavsGeometry) -> FingertipModel:
+    """The FingertipModel of a geometry, built on first use.  Threads that
+    miss together may each build one; they hold the same values."""
+    return FingertipModel(geom)
+
+
+def rest_pose(geom: CavsGeometry) -> RestPose:
+    """Least-squares root of the three rest endpoint conditions
+    {p_Ex = p_ex0, p_Ey = p_ey0, p_Cx = p_cx0} over the angle box.
+
+    The argmin of a 700 x 700 grid over the box (its resolution picks the
+    basin), polished by Newton on the normal equations with analytic
+    derivatives; deterministic for a given geometry.  Raises
+    GeometryInfeasible when the fit does not converge or ends on the box
+    edge.
+    """
+    return fingertip_model(geom).rest
+
+
+def forward_points(geom: CavsGeometry, theta1: float, theta2: float) -> JointState:
+    """Endpoint positions, contact half-angle gamma, and deformation d for
+    the given joint angles.  d is the drop of the apex E below its rest
+    height.  Total over admissible angles."""
+    return _joint_state(geom, rest_pose(geom), theta1, theta2)
+
+
 def solve_joint_angles(geom: CavsGeometry, d: float) -> JointState:
     """Branch-followed solution of the deformation constraints at depth d.
 
-    Warm-starts from the nearest cached node on the branch from d = 0 and
-    continues in steps of at most 0.05 mm, bisecting the continuation step
-    whenever a Newton solve stalls.  Residuals are driven below 1e-12 mm.
+    Warm-starts from the branch node nearest d (nodes every 0.05 mm, each
+    continued from the one below it) and continues to d, bisecting the
+    continuation step whenever a Newton solve stalls.  Residuals are driven
+    below 1e-12 mm.
     """
-    if not math.isfinite(d) or d < 0.0:
-        raise ValueError(f"deformation must be finite and >= 0, got {d!r}")
-    pose = rest_pose(geom)
-    k = round(d / _GRID)
-    t1, t2 = _branch_node(geom, k)
-    if d != k * _GRID:
-        t1, t2 = _continue_to(geom, pose, t1, t2, k * _GRID, d)
-    return forward_points(geom, t1, t2)
+    return fingertip_model(geom).solve(d)
 
 
 def projected_width_wx(state: JointState, geom: CavsGeometry) -> float:
     """Horizontal extent of the red strip: l_r * cos(gamma), clamped to
     [0, l_r]."""
     return geom.l_r * max(0.0, math.cos(state.gamma))
-
-
-_limits_cache: dict[CavsGeometry, tuple[float, float]] = {}
-_limits_lock = threading.Lock()
 
 
 def deformation_limits(geom: CavsGeometry) -> tuple[float, float]:
@@ -368,40 +396,4 @@ def deformation_limits(geom: CavsGeometry) -> tuple[float, float]:
     (p_Dy > 0, the sensing validity bound) -- found by an upward 0.001 mm
     scan with bisection refinement.
     """
-    with _limits_lock:
-        hit = _limits_cache.get(geom)
-    if hit is not None:
-        return hit
-
-    pose = rest_pose(geom)  # raises GeometryInfeasible when degenerate
-
-    def ok(d: float) -> bool:
-        try:
-            st = solve_joint_angles(geom, d)
-        except SolverFailure:
-            return False
-        return math.cos(st.gamma) >= 0.0 and st.p_D[1] > 0.0
-
-    if not ok(0.0):
-        raise GeometryInfeasible("rest configuration violates the sensing bounds")
-    # hard geometric ceiling: apex cannot drop below full extension
-    d_hi = pose.p_ey0_eff - geom.p_ay + geom.l1 + geom.l3
-    lo, d = 0.0, 0.0
-    coarse = 0.05
-    while d < d_hi and ok(d + coarse):
-        d += coarse
-        lo = d
-    fine = lo
-    while fine < min(lo + coarse, d_hi) and ok(fine + 0.001):
-        fine += 0.001
-    lo, hi = fine, fine + 0.001
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    limits = (0.0, lo)
-    with _limits_lock:
-        _limits_cache[geom] = limits
-    return limits
+    return fingertip_model(geom).limits()

@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kinematics import CavsGeometry, JointState, projected_width_wx, solve_joint_angles
+from .kinematics import CavsGeometry, JointState, fingertip_model, projected_width_wx, \
+    solve_joint_angles
 
 
 class BehindCamera(ValueError):
@@ -67,10 +68,10 @@ def image_width_wimg(cam: CameraModel, state: JointState, geom: CavsGeometry) ->
 def calibrate_sc_reference(cam: CameraModel, geom: CavsGeometry) -> CameraModel:
     """Camera with w_SCimg set to the projected width at d = d_sc.
 
-    Idempotent: recalibrating an already-calibrated camera recomputes the
-    same reference.
+    Idempotent: recalibrating an already-calibrated camera sets the same
+    reference, the geometry's d_sc state from its FingertipModel.
     """
-    state = solve_joint_angles(geom, geom.d_sc)
+    state = fingertip_model(geom).reference()
     return replace(cam, w_SCimg=image_width_wimg(cam, state, geom))
 
 
@@ -85,7 +86,7 @@ def red_area_ratio(cam: CameraModel, geom: CavsGeometry, d: float) -> float:
     if cam.w_SCimg is None:
         raise NotCalibrated("red_area_ratio requires a calibrated camera")
     state = solve_joint_angles(geom, d)
-    ref = solve_joint_angles(geom, geom.d_sc)
+    ref = fingertip_model(geom).reference()
     if state.p_D[1] <= 0:
         raise BehindCamera(f"strip end depth {state.p_D[1]:g} mm at d={d:g}")
     num = ref.p_D[1] * max(0.0, math.cos(state.gamma))

@@ -229,7 +229,8 @@ def test_snap_through_sweep_matches_root_scan():
 
         d_down = np.asarray(down)[::-1]  # ascending gap
         d_up = np.asarray(up)
-        area = float(np.trapezoid(d_up - d_down, x=gaps_down[::-1]))
+        loop = d_up - d_down  # trapezoid rule, written out: np.trapezoid needs numpy 2
+        area = float(np.sum(np.diff(gaps_down[::-1]) * (loop[1:] + loop[:-1]) / 2.0))
         assert area > 0.0
         assert float(np.max(np.abs(d_up - d_down))) > 1.0  # genuinely path-dependent
 

@@ -143,6 +143,12 @@ def test_render_ppm(tmp_path):
     (["solve"], 2, "error:"),
     (["solve", "--d", "50"], 3, "solver failure:"),
     (["ratio-curve", "--seed", "-1"], 2, "error:"),
+    (["solve", "--d", "nan"], 2, "error:"),
+    (["solve", "--d", "inf"], 2, "error:"),
+    (["render", "--d", "nan", "--out", "x.ppm"], 2, "error:"),
+    (["press-curve", "--d-max", "inf"], 2, "error:"),
+    (["anisotropy", "--f-max", "inf"], 2, "error:"),
+    (["ratio-curve", "--step", "nan"], 2, "error:"),
 ])
 def test_exit_codes_and_single_line_stderr(argv, code, prefix, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # any --out side effects stay here

@@ -66,6 +66,14 @@ def test_unknown_keys_rejected(doc):
     {"seed": True},
     {"seed": -1},
     {"controller": {"epsilon": None}},
+    {"object": {"stiffness": float("inf")}},
+    {"object": {"nominal_width": float("inf")}},
+    {"geometry": {"d_sc": float("inf")}},
+    {"geometry": {"p_ay": float("nan")}},
+    {"camera": {"noise_std_pct": float("nan")}},
+    {"friction": {"f_local_max": float("inf")}},
+    {"geometry": {"p_ax": -float("inf")}},
+    {"geometry": {"l2": 10 ** 400}},
 ])
 def test_type_errors_rejected(doc):
     with pytest.raises(ConfigError):
@@ -149,6 +157,8 @@ def test_scenario_round_trip(tmp_path):
     ({"steps": [{"target_mode": "SC", "duration_s": 1.0}], "tick_dt_s": 0}, "tick_dt"),
     ({"steps": [{"target_mode": "SC", "duration_s": 1.0}], "initial_gap_mm": -2}, "gap"),
     ({"steps": [{"target_mode": "SC", "duration_s": 1.0, "name": 7}]}, "name"),
+    ({"steps": [{"target_mode": "SC", "duration_s": float("inf")}]}, "finite"),
+    ({"steps": [{"target_mode": "SC", "duration_s": 1.0}], "tick_dt_s": float("nan")}, "finite"),
 ])
 def test_scenario_rejection(doc, msg):
     with pytest.raises(ConfigError, match=msg):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -28,9 +30,9 @@ CX0_EFF = 2.8054693049003534
 D_MAX = 4.591706548793827
 
 
-def _rest_misfit(t1: float, t2: float) -> float:
-    ex, ey, cx, _, _ = endpoints(GEOM, t1, t2)
-    return (ex - GEOM.p_ex0) ** 2 + (ey - GEOM.p_ey0) ** 2 + (cx - GEOM.p_cx0) ** 2
+def _rest_misfit(t1: float, t2: float, geom: CavsGeometry = GEOM) -> float:
+    ex, ey, cx, _, _ = endpoints(geom, t1, t2)
+    return (ex - geom.p_ex0) ** 2 + (ey - geom.p_ey0) ** 2 + (cx - geom.p_cx0) ** 2
 
 
 def test_rest_pose_matches_exhaustive_grid_oracle():
@@ -61,11 +63,31 @@ def test_rest_residual_is_the_least_squares_compromise():
     assert abs(rx - -2.5458353445) < 1e-6
     assert abs(ry - 0.0657762831) < 1e-6
     assert abs(rc - 2.8054693049) < 1e-6
+
+
+# Steepest descent from this geometry's grid argmin runs into the theta2 = 0
+# edge of the box, so it has no interior rest pose.
+EDGE_GEOM = CavsGeometry(l1=4.128216496360151, l2=5.618048704695848, l3=5.113773560113439,
+                         p_ay=2.4300061029623428, d_sc=3.716757519350165)
+
+
+@pytest.mark.parametrize("geom", [
+    GEOM,
+    CavsGeometry(p_ay=GEOM.p_ay + 0.1, l2=GEOM.l2 - 0.1),
+    CavsGeometry(p_ay=GEOM.p_ay - 0.1, l2=GEOM.l2 + 0.1),
+    EDGE_GEOM,
+], ids=["default", "p_ay+l2-", "p_ay-l2+", "edge"])
+def test_rest_pose_is_stationary_or_infeasible(geom):
+    if geom is EDGE_GEOM:
+        with pytest.raises(GeometryInfeasible):
+            rest_pose(geom)
+        return
+    rp = rest_pose(geom)
     # stationarity: the oracle misfit does not decrease in any direction
-    base = _rest_misfit(rp.theta1, rp.theta2)
+    base = _rest_misfit(rp.theta1, rp.theta2, geom)
     h = 1e-5
     for dt1, dt2 in ((h, 0), (-h, 0), (0, h), (0, -h)):
-        assert _rest_misfit(rp.theta1 + dt1, rp.theta2 + dt2) >= base - 1e-12
+        assert _rest_misfit(rp.theta1 + dt1, rp.theta2 + dt2, geom) >= base - 1e-12
 
 
 @pytest.mark.parametrize("d", [0.7, 1.9, 3.1])
@@ -179,3 +201,45 @@ def test_caches_are_geometry_keyed():
     assert after.theta1 == before.theta1
     assert after.theta2 == before.theta2
     assert rest_pose(other).theta1 != rest_pose(GEOM).theta1
+
+
+def test_branch_table_is_order_and_thread_independent():
+    # l_r does not enter the linkage, so these geometries share every angle
+    # while each starts with its own empty branch table
+    cold, warmed, raced = (CavsGeometry(p_ay=2.77, l_r=l_r) for l_r in (5.01, 5.02, 5.03))
+    # the branch nodes up to d = 3.5: past the raced depth, since a node
+    # appended twice would shift every node after it
+    nodes = [k * 0.05 for k in range(71)]
+
+    def table(geom):
+        return [solve_joint_angles(geom, d) for d in nodes]
+
+    want = solve_joint_angles(cold, 3.0)
+    want_table = table(cold)
+
+    solve_joint_angles(warmed, 1.0)
+    assert solve_joint_angles(warmed, 3.0) == want
+    assert table(warmed) == want_table
+
+    rest_pose(raced)  # the threads then extend the same table from d = 0
+    workers = 4  # more than the cores of a small machine
+    start = threading.Barrier(workers, timeout=30.0)
+    got = []
+
+    def solve():
+        start.wait()
+        got.append(solve_joint_angles(raced, 3.0))
+
+    threads = [threading.Thread(target=solve) for _ in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads finely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * workers
+    assert table(raced) == want_table

@@ -133,7 +133,8 @@ def test_snap_through_hysteresis_sweep():
     # reopening rides the deep branch: loop area strictly positive
     d_close = totals["close"][::-1]  # ascending gap
     d_open = totals["open"]
-    area = float(np.trapezoid(d_open - d_close, x=gaps_open))
+    loop = d_open - d_close  # trapezoid rule, written out: np.trapezoid needs numpy 2
+    area = float(np.sum(np.diff(gaps_open) * (loop[1:] + loop[:-1]) / 2.0))
     assert area > 1.0
     assert np.all(d_open - d_close > -1e-9)
 
