@@ -29,7 +29,7 @@ import numpy as np
 from .config import Config, ConfigError, Scenario, load_config, load_scenario, parse_scenario
 from .friction import ContactState, Direction, classify_contact_state, ecmsf, \
     max_resistible_force, pressing_force
-from .kinematics import GeometryInfeasible, SolverFailure, deformation_limits, \
+from .kinematics import CavsGeometry, GeometryInfeasible, SolverFailure, deformation_limits, \
     projected_width_wx, solve_joint_angles
 from .plant import StepSummary, _fmt6, make_world, records_to_csv, run_scenario
 from .sensing import BehindCamera, NotCalibrated, calibrate_sc_reference, frame_to_ppm, \
@@ -73,6 +73,14 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.linspace(lo, hi, n + 1)
 
 
+def _check_depth(geom: CavsGeometry, d: float, flag: str) -> None:
+    """Reject a depth past the branch's deformation limit before any solve
+    walks the branch table out to it."""
+    d_max = deformation_limits(geom)[1]
+    if d > d_max:
+        raise ConfigError(f"{flag} {d:g} beyond deformation limit {d_max:g}")
+
+
 def cmd_ratio_curve(cfg: Config, args) -> str:
     geom, cam = cfg.geometry, calibrate_sc_reference(cfg.camera, cfg.geometry)
     d_min = 0.0 if args.d_min is None else args.d_min
@@ -81,9 +89,7 @@ def cmd_ratio_curve(cfg: Config, args) -> str:
         raise ConfigError(f"--step must be positive, got {args.step:g}")
     if not 0 <= d_min < d_max:
         raise ConfigError(f"need 0 <= d-min < d-max, got [{d_min:g}, {d_max:g}]")
-    lim = deformation_limits(geom)
-    if d_max > lim[1]:
-        raise ConfigError(f"--d-max {d_max:g} beyond deformation limit {lim[1]:g}")
+    _check_depth(geom, d_max, "--d-max")
     rows = []
     for d in _grid(d_min, d_max, args.step):
         r = red_area_ratio(cam, geom, float(d))
@@ -162,6 +168,7 @@ def cmd_render(cfg: Config, args) -> int:
         raise ConfigError("render requires --out for the PPM file")
     if args.d is None or args.d < 0:
         raise ConfigError("render requires --d >= 0")
+    _check_depth(cfg.geometry, args.d, "--d")
     cam = calibrate_sc_reference(cfg.camera, cfg.geometry)
     frame = render_synthetic_frame(cam, cfg.geometry, args.d)
     _write_atomic(args.out, frame_to_ppm(frame))
@@ -172,6 +179,7 @@ def cmd_solve(cfg: Config, args) -> str:
     if args.d is None or args.d < 0:
         raise ConfigError("solve requires --d >= 0")
     geom = cfg.geometry
+    _check_depth(geom, args.d, "--d")
     cam = calibrate_sc_reference(cfg.camera, geom)
     state = solve_joint_angles(geom, args.d)
     lines = [

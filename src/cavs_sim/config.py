@@ -110,35 +110,20 @@ def parse_config(data: dict) -> Config:
 
     cam_section = _require_mapping(data.get("camera", {}), "camera")
     _reject_unknown(cam_section, _CAMERA_KEYS, "camera")
-    cam_kwargs = {}
-    for key in ("focal_px", "noise_std_pct"):
-        if key in cam_section:
-            cam_kwargs[key] = _number(cam_section[key], f"camera.{key}")
+    pixels = {}
     for key in ("image_width_px", "image_height_px"):
         if key in cam_section:
             val = cam_section[key]
             if isinstance(val, bool) or not isinstance(val, int):
                 raise ConfigError(f"camera.{key} must be an integer")
-            cam_kwargs[key] = val
-    try:
-        camera = CameraModel(**cam_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"camera: {exc}") from exc
+            pixels[key] = val
+    camera = _build(cam_section, _CAMERA_KEYS, "camera", CameraModel, **pixels)
 
     fric_section = _require_mapping(data.get("friction", {}), "friction")
     _reject_unknown(fric_section, _FRICTION_KEYS, "friction")
-    fric_kwargs = {}
-    for key in ("d_LC_end", "d_SC_start", "f_local_max", "f_local_min", "kinetic_fraction"):
-        if key in fric_section:
-            fric_kwargs[key] = _number(fric_section[key], f"friction.{key}")
-    if "mu" in fric_section:
-        fric_kwargs["mu"] = _coeff_table(fric_section["mu"], "friction.mu")
-    if "adhesion" in fric_section:
-        fric_kwargs["adhesion"] = _coeff_table(fric_section["adhesion"], "friction.adhesion")
-    try:
-        friction = FrictionParams(**fric_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"friction: {exc}") from exc
+    tables = {name: _coeff_table(fric_section[name], f"friction.{name}")
+              for name in ("mu", "adhesion") if name in fric_section}
+    friction = _build(fric_section, _FRICTION_KEYS, "friction", FrictionParams, **tables)
 
     controller = _build(_require_mapping(data.get("controller", {}), "controller"),
                         _CONTROLLER_KEYS, "controller", ControllerConfig)

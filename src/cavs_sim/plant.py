@@ -12,7 +12,9 @@ With a soft enough object the dip in F folds the equilibrium branch, so a
 gap sweep shows snap-through hysteresis; the solver therefore enumerates
 all equilibria on a fine grid and keeps the one nearest the previous
 solution (ties toward smaller deformation), which reproduces the physical
-branch-following behavior.
+branch-following behavior.  The closure gives d_right from d_left, clamped
+at zero, so the enumeration is one sign scan of one continuous residual;
+the clamp adds no root, because where it acts the residual is -F(d_left).
 
 The scenario runner closes the loop: measure ratios, decide per-finger
 deadband commands, move fingers, re-solve equilibrium, log one CSV record
@@ -152,81 +154,42 @@ def _enumerate_equilibria(fric: FrictionParams, obj: ObjectModel, squeeze: float
                           d_sc: float) -> list[tuple[float, float]]:
     """All (d_left, d_right) roots of the force balance at the given squeeze
     (= d_left + d_right + compression).  d_right is eliminated through the
-    closure, leaving a 1-D sign scan over d_left; validity boundaries where
-    the implied d_right crosses zero are treated as extra bracket points."""
+    closure and clamped at zero, leaving one continuous residual in d_left,
+
+        balance(d_l) = F(max(0, squeeze - d_l - F(d_l)/k)) - F(d_l),
+
+    whose roots are the grid nodes where it is exactly zero plus one
+    bisection per strict sign change between adjacent nodes.  The clamp
+    adds no root: wherever it acts the residual is F(0) - F(d_l) = -F(d_l),
+    negative for d_l > 0, and it is continuous where the clamp sets in."""
     k = obj.stiffness
     knots = press_curve_knots(fric, d_sc)
 
-    def implied_dr(dl: float) -> float:
-        return squeeze - dl - press_force_scalar(knots, dl) / k
-
     def balance(dl: float) -> float:
         f = press_force_scalar(knots, dl)
-        return press_force_scalar(knots, squeeze - dl - f / k) - f
+        return press_force_scalar(knots, max(0.0, squeeze - dl - f / k)) - f
 
     n = max(3, int(squeeze / _SCAN_STEP) + 2)
     dl = np.linspace(0.0, squeeze, n)
     f_dl = pressing_force(fric, dl, d_sc=d_sc)
-    dr = squeeze - dl - f_dl / k
-    valid = dr >= 0.0
-    h = np.where(valid, pressing_force(fric, np.where(valid, dr, 0.0), d_sc=d_sc) - f_dl, np.nan)
+    h = pressing_force(fric, np.maximum(squeeze - dl - f_dl / k, 0.0), d_sc=d_sc) - f_dl
 
-    # bracket pairs (a, h(a), b, h(b)): adjacent valid grid nodes, plus the
-    # dr = 0 crossings that bound each valid run (bisected on implied d_right)
-    brackets: list[tuple[float, float, float, float]] = []
-    both = valid[:-1] & valid[1:]
-    hl, hr = h[:-1], h[1:]
-    change = both & ((hl == 0.0) | (hr == 0.0) | ((hl < 0.0) != (hr < 0.0)))
-    for i in np.nonzero(change)[0]:
-        brackets.append((float(dl[i]), float(h[i]), float(dl[i + 1]), float(h[i + 1])))
-    for i in np.nonzero(valid[:-1] != valid[1:])[0]:
-        lo, hi = float(dl[i]), float(dl[i + 1])
-        if valid[i]:  # leaving a valid run: dr = 0 crossing on the right
-            for _ in range(50):
-                mid = 0.5 * (lo + hi)
-                if implied_dr(mid) >= 0:
-                    lo = mid
-                else:
-                    hi = mid
-            brackets.append((float(dl[i]), float(h[i]), lo, balance(lo)))
-        else:  # entering a valid run: crossing on the left
-            for _ in range(50):
-                mid = 0.5 * (lo + hi)
-                if implied_dr(mid) >= 0:
-                    hi = mid
-                else:
-                    lo = mid
-            brackets.append((hi, balance(hi), float(dl[i + 1]), float(h[i + 1])))
-
-    roots: list[tuple[float, float]] = []
-
-    def add_root(d_left: float) -> None:
-        d_right = max(0.0, implied_dr(d_left))
-        for r in roots:
-            if abs(r[0] - d_left) < 1e-9:
-                return
-        roots.append((d_left, d_right))
-
-    for a, fa, b, fb in brackets:
-        if fa == 0.0:
-            add_root(a)
-        if fb == 0.0:
-            add_root(b)
-        if fa * fb < 0:
-            lo, hi, flo = a, b, fa
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                fm = balance(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (flo < 0) == (fm < 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            add_root(0.5 * (lo + hi))
-    roots.sort()
-    return roots
+    found = dl[h == 0.0].tolist()
+    for i in np.nonzero(h[:-1] * h[1:] < 0.0)[0]:
+        lo, hi, flo = float(dl[i]), float(dl[i + 1]), float(h[i])
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            fm = balance(mid)
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if (flo < 0) == (fm < 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        found.append(0.5 * (lo + hi))
+    found.sort()
+    return [(d, max(0.0, squeeze - d - press_force_scalar(knots, d) / k)) for d in found]
 
 
 def equilibrium_solve(fric: FrictionParams, obj: ObjectModel,

@@ -72,6 +72,9 @@ def test_force_balance_and_closure_residuals(obj, gap):
 @pytest.mark.parametrize("obj,squeeze", [
     (OBJ, 1.0), (OBJ, 3.0), (OBJ, 5.0), (OBJ, 7.0), (OBJ, 7.6575),
     (SOFT, 14.0), (SOFT, 14.7), (SOFT, 15.0), (SOFT, 15.7), (SOFT, 16.0),
+    # only the first scan node has d_right >= 0: the root lies where the
+    # d_right clamp sets in
+    (SOFT, 0.00127), (SOFT, 0.0105),
 ])
 def test_every_oracle_root_is_reachable(obj, squeeze):
     # seeding the branch memory at an independently-found root must return
