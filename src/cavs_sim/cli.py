@@ -74,8 +74,8 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 
 def _check_depth(geom: CavsGeometry, d: float, flag: str) -> None:
-    """Reject a depth past the branch's deformation limit before any solve
-    walks the branch table out to it."""
+    """Reject a depth past the branch's deformation limit before any solve,
+    so such a depth exits 2, not 3."""
     d_max = deformation_limits(geom)[1]
     if d > d_max:
         raise ConfigError(f"{flag} {d:g} beyond deformation limit {d_max:g}")
@@ -104,11 +104,9 @@ def cmd_press_curve(cfg: Config, args) -> str:
         raise ConfigError(f"--step must be positive, got {args.step:g}")
     if not d_max > 0:
         raise ConfigError(f"--d-max must be positive, got {d_max:g}")
-    rows = []
-    for d in _grid(0.0, d_max, args.step):
-        f = pressing_force(cfg.friction, float(d), d_sc=cfg.geometry.d_sc)
-        rows.append((_fmt6(d), _fmt6(f)))
-    return _csv_text(("d_mm", "force_N"), rows)
+    grid = _grid(0.0, d_max, args.step)
+    forces = pressing_force(cfg.friction, grid, d_sc=cfg.geometry.d_sc)
+    return _csv_text(("d_mm", "force_N"), [(_fmt6(d), _fmt6(f)) for d, f in zip(grid, forces)])
 
 
 def cmd_anisotropy(cfg: Config, args) -> str:

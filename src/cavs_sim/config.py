@@ -40,8 +40,7 @@ class Config:
 
 _GEOMETRY_KEYS = ("l1", "l2", "l3", "l_r", "p_ax", "p_ay", "p_cx0", "p_ex0", "p_ey0", "d_sc")
 _CAMERA_KEYS = ("focal_px", "image_width_px", "image_height_px", "noise_std_pct")
-_FRICTION_KEYS = ("d_LC_end", "d_SC_start", "f_local_max", "f_local_min",
-                  "mu", "adhesion", "kinetic_fraction")
+_FRICTION_KEYS = ("d_LC_end", "d_SC_start", "f_local_max", "f_local_min", "mu", "adhesion")
 _CONTROLLER_KEYS = ("r_target_LC", "r_target_SC", "epsilon", "step_open", "step_close")
 _OBJECT_KEYS = ("nominal_width", "stiffness", "required_hold_force", "slide_demand")
 

@@ -70,15 +70,12 @@ class FrictionParams:
     f_local_min: float = 0.97
     mu: dict[_Key, float] = field(default_factory=_default_mu)
     adhesion: dict[_Key, float] = field(default_factory=_default_adhesion)
-    kinetic_fraction: float = 0.8
 
     def __post_init__(self) -> None:
         if not 0 < self.d_LC_end < self.d_SC_start:
             raise ValueError("need 0 < d_LC_end < d_SC_start")
         if not self.f_local_max > self.f_local_min > 0:
             raise ValueError("need f_local_max > f_local_min > 0")
-        if not 0 < self.kinetic_fraction <= 1:
-            raise ValueError("kinetic_fraction must be in (0, 1]")
         for table, name in ((self.mu, "mu"), (self.adhesion, "adhesion")):
             if set(table) != set(_COEFF_KEYS):
                 raise ValueError(f"{name} table must cover LC/SC x lateral/longitudinal")

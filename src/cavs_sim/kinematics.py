@@ -12,13 +12,15 @@ Pressing the apex down by d mm drives the constraint system
     p_Ey(theta1, theta2) = p_Ey(rest) - d
     p_Cx(theta1, theta2) = p_Cx(rest)
 
-whose branch-followed solution feeds the sensing model.  The nominal anchor
+whose branch-followed solution feeds the sensing model.  The height of C
+on the rail fixes the pose of the chain A-B-C, so the branch is one
+monotone scalar equation in that height.  The nominal anchor
 values stored on CavsGeometry are mutually over-determined (the rest endpoint
 E0 is slightly out of reach of l1 + l3), so the rest pose is the least-squares
 fit to the three endpoint conditions inside the admissible angle box, and the
 operating constraints above are anchored to the pose actually achieved.
 
-Everything derived from one geometry (rest pose, branch nodes, d_sc reference
+Everything derived from one geometry (rest pose, branch end, d_sc reference
 state, deformation limits) lives in one FingertipModel, built once per
 geometry by fingertip_model.
 """
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,10 @@ SPOKE_HALF_ANGLE = math.pi / 6
 THETA1_BOX = (-math.pi, 0.0)
 THETA2_BOX = (0.0, math.pi)
 
-_NEWTON_CAP = 200
 _REST_CAP = 30
-_RESIDUAL_TOL = 1e-12  # well inside the 1e-9 contract
-_GRID = 0.05  # branch node spacing in mm
+_SOLVE_CAP = 100
+_DEPTH_TOL = 1e-12  # mm, well inside the 1e-9 contract
+_SCAN = 0.05  # step of the scans for the branch end and for d_max
 
 
 class GeometryInfeasible(ValueError):
@@ -47,8 +48,8 @@ class GeometryInfeasible(ValueError):
 
 
 class SolverFailure(RuntimeError):
-    """Newton iteration with continuation fallback exceeded its budget or
-    left the admissible angle box."""
+    """Depth past the end of the followed branch, or the branch solve
+    exceeded its iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -197,110 +198,114 @@ def _joint_state(geom: CavsGeometry, pose: RestPose, theta1: float, theta2: floa
     )
 
 
-def _in_box(t1: float, t2: float) -> bool:
-    return THETA1_BOX[0] < t1 < THETA1_BOX[1] and THETA2_BOX[0] < t2 < THETA2_BOX[1]
-
-
-def _constraints(geom: CavsGeometry, pose: RestPose, t1: float, t2: float, d: float):
-    (cx, _), _, (_, ey), _ = _points(geom, t1, t2)
-    return ey - (pose.p_ey0_eff - d), cx - pose.p_cx0_eff
-
-
-def _newton(geom: CavsGeometry, pose: RestPose, t1: float, t2: float, d: float,
-            budget: list[int]) -> tuple[float, float]:
-    """Damped Newton on the 2x2 constraint system; its Jacobian is the Ey
-    and Cx rows of _partials.  Raises SolverFailure on budget exhaustion or
-    box exit."""
-    for _ in range(_NEWTON_CAP):
-        if budget[0] <= 0:
-            raise SolverFailure(f"iteration cap {_NEWTON_CAP} exceeded at d={d:g}")
-        budget[0] -= 1
-        f1, f2 = _constraints(geom, pose, t1, t2, d)
-        norm = max(abs(f1), abs(f2))
-        if norm < _RESIDUAL_TOL:
-            if not _in_box(t1, t2):
-                raise SolverFailure(f"solution leaves the admissible angle box at d={d:g}")
-            return t1, t2
-        j1, j2, _, _ = _partials(geom, t1, t2)
-        a11, a12, a21, a22 = j1[1], j2[1], j1[2], j2[2]
-        det = a11 * a22 - a12 * a21
-        if abs(det) < 1e-14:
-            raise SolverFailure(f"singular Jacobian at d={d:g}")
-        s1 = (-f1 * a22 + f2 * a12) / det
-        s2 = (-a11 * f2 + a21 * f1) / det
-        lam = 1.0
-        for _ in range(40):  # damping: accept only residual decrease
-            g1, g2 = _constraints(geom, pose, t1 + lam * s1, t2 + lam * s2, d)
-            if max(abs(g1), abs(g2)) < norm:
-                break
-            lam *= 0.5
-        t1 += lam * s1
-        t2 += lam * s2
-    raise SolverFailure(f"iteration cap {_NEWTON_CAP} exceeded at d={d:g}")
-
-
-def _continue_to(geom: CavsGeometry, pose: RestPose, t1: float, t2: float,
-                 d_from: float, d_to: float) -> tuple[float, float]:
-    """Continuation in d with step bisection on Newton failure."""
-    budget = [_NEWTON_CAP]
-    d = d_from
-    step = d_to - d_from
-    while abs(d - d_to) > 0.0:
-        target = d + step
-        if (step > 0 and target > d_to) or (step < 0 and target < d_to):
-            target = d_to
-        try:
-            t1n, t2n = _newton(geom, pose, t1, t2, target, budget)
-        except SolverFailure:
-            if budget[0] <= 0:
-                raise
-            step *= 0.5
-            if abs(step) < 1e-6:
-                raise SolverFailure(f"continuation stalled near d={d:g}") from None
-            continue
-        t1, t2, d = t1n, t2n, target
-    return t1, t2
+def _last_true(pred, x: float, step: float) -> float:
+    """The last point where pred holds, scanning from x (where it holds) in
+    steps of step to the first point where it fails, then bisecting that
+    step 60 times."""
+    while pred(x + step):
+        x += step
+    off = x + step
+    for _ in range(60):
+        mid = 0.5 * (x + off)
+        if pred(mid):
+            x = mid
+        else:
+            off = mid
+    return x
 
 
 class FingertipModel:
     """What kinematics derives from one geometry, each part built once.
 
     The rest pose is fitted on construction (GeometryInfeasible when there
-    is none).  Branch nodes at d = k * 0.05 mm form an append-only list, node
-    k continued from node k - 1; the lock guards only its extension.  The
-    d_sc reference state and the deformation limits are computed on first
-    use, so a rest pose that breaks the sensing bounds still solves; threads
-    that race there compute the same values.
+    is none), and so is the end of the followed branch.  The branch is
+    parametrized by the height of C on the rail.  That height moves one way
+    along the branch, at a rate proportional to sin(theta2), as long as
+    theta2 stays inside (0, pi); given it, the chain A-B-C has one pose with
+    theta2 in that box, and the apex depth d follows from the pose.  The
+    parameter is q = sqrt(w_edge - w), where w is C's height above A, signed
+    so that pressing raises it, and w_edge is where C runs out of reach
+    (theta2 = 0 or pi); the square root keeps d(q) smooth up to that edge.
+    d grows as q falls from the rest pose to the branch end, where d stops
+    growing, theta2 reaches the edge of its box or theta1 leaves its box.
+    The d_sc reference state and the deformation limits are computed on
+    first use, so a rest pose that breaks the sensing bounds still solves;
+    threads that race there compute the same values.
     """
 
     def __init__(self, geom: CavsGeometry) -> None:
         self.geom = geom
         self.rest = _fit_rest(geom)
-        self._nodes = [(self.rest.theta1, self.rest.theta2)]
-        self._extend = threading.Lock()
+        t1, a = self.rest.theta1, self.rest.theta1 + self.rest.theta2
+        # dd/dy of C's height y has the sign of this at rest
+        slope = math.sin(t1) * math.cos(a) - geom.l3 / geom.l2 * math.sin(a + SPOKE_HALF_ANGLE) * math.cos(t1)
+        self._dir = math.copysign(1.0, slope)
+        self._u = self.rest.p_cx0_eff - geom.p_ax
+        w_rest = self._dir * (_points(geom, t1, a - t1)[0][1] - geom.p_ay)
+        # C runs out of reach at |AC| = l1 + l2 (theta2 = 0) or, when the
+        # rail passes closer to A than |l1 - l2| and w rises to 0 from
+        # below, at |AC| = |l1 - l2| (theta2 = pi)
+        inner = (geom.l1 - geom.l2) ** 2 - self._u ** 2
+        if w_rest < 0.0 and inner > 0.0:
+            self._w_edge = -math.sqrt(inner)
+        else:
+            self._w_edge = math.sqrt((geom.l1 + geom.l2) ** 2 - self._u ** 2)
+        self._q_rest = math.sqrt(self._w_edge - w_rest)
+
+        def on_branch(q: float) -> bool:
+            b = self._branch(q)
+            return b is not None and b[3] < 0.0 and THETA1_BOX[0] < b[0] < THETA1_BOX[1]
+
+        self._q_end = _last_true(on_branch, self._q_rest, -_SCAN)
+        self._d_end = self._branch(self._q_end)[2]
         self._reference: JointState | None = None
         self._limits: tuple[float, float] | None = None
 
-    def node(self, k: int) -> tuple[float, float]:
-        """Angles on the followed branch at d = k * 0.05 mm."""
-        nodes = self._nodes
-        if k >= len(nodes):
-            with self._extend:
-                while len(nodes) <= k:
-                    j = len(nodes)
-                    nodes.append(_continue_to(self.geom, self.rest, *nodes[-1],
-                                              (j - 1) * _GRID, j * _GRID))
-        return nodes[k]
+    def _branch(self, q: float) -> tuple[float, float, float, float] | None:
+        """(theta1, theta2, d, dd/dq) at branch parameter q, or None where C
+        is out of reach or theta2 is on the edge of its box."""
+        geom = self.geom
+        two_l1l2 = 2.0 * geom.l1 * geom.l2
+        w = self._w_edge - q * q
+        # (w_edge^2 - w^2) / (2 l1 l2), exact in q near the edge: it is
+        # 1 - cos(theta2) at the outer edge and -(1 + cos(theta2)) at the inner
+        gap = q * q * (self._w_edge + w) / two_l1l2
+        lo, hi = (gap, 2.0 - gap) if self._w_edge > 0.0 else (2.0 + gap, -gap)
+        if not (lo > 0.0 and hi > 0.0):
+            return None
+        t2 = 2.0 * math.atan2(math.sqrt(lo), math.sqrt(hi))
+        s2, c2 = math.sqrt(lo * hi), 1.0 - lo
+        t1 = math.atan2(-self._u, self._dir * w) - math.atan2(geom.l2 * s2, geom.l1 + geom.l2 * c2)
+        a = t1 + t2
+        s1, co1 = math.sin(t1), math.cos(t1)
+        ey = geom.p_ay + (geom.l1 * co1 + geom.l3 * math.cos(a + SPOKE_HALF_ANGLE))
+        # d = p_ey0_eff - Ey, y = p_ay + dir * w and dy/dq = -2 q dir
+        dd_dy = (s1 * math.cos(a) - geom.l3 / geom.l2 * math.sin(a + SPOKE_HALF_ANGLE) * co1) / s2
+        return t1, t2, self.rest.p_ey0_eff - ey, -2.0 * self._dir * q * dd_dy
 
     def solve(self, d: float) -> JointState:
         """See solve_joint_angles."""
         if not math.isfinite(d) or d < 0.0:
             raise ValueError(f"deformation must be finite and >= 0, got {d!r}")
-        k = round(d / _GRID)
-        t1, t2 = self.node(k)
-        if d != k * _GRID:
-            t1, t2 = _continue_to(self.geom, self.rest, t1, t2, k * _GRID, d)
-        return _joint_state(self.geom, self.rest, t1, t2)
+        if d > self._d_end:
+            raise SolverFailure(f"d={d:g} is past the branch end at {self._d_end:g} mm")
+        # Newton on d(q) = d from the rest pose, bisecting the bracket
+        # (deep, shallow) whenever a step leaves it
+        deep, shallow = self._q_end, self._q_rest
+        q = shallow
+        for _ in range(_SOLVE_CAP):
+            t1, t2, depth, slope = self._branch(q)
+            f = depth - d
+            if abs(f) <= _DEPTH_TOL:
+                return _joint_state(self.geom, self.rest, t1, t2)
+            if f > 0.0:
+                deep = q
+            else:
+                shallow = q
+            q -= f / slope
+            if not (q - deep) * (q - shallow) < 0.0:
+                q = 0.5 * (deep + shallow)
+        raise SolverFailure(f"iteration cap {_SOLVE_CAP} exceeded at d={d:g}")
 
     def reference(self) -> JointState:
         """The state at d = d_sc, the full-contact sensing reference."""
@@ -322,25 +327,8 @@ class FingertipModel:
 
         if not ok(0.0):
             raise GeometryInfeasible("rest configuration violates the sensing bounds")
-        # hard geometric ceiling: apex cannot drop below full extension
-        geom = self.geom
-        d_hi = self.rest.p_ey0_eff - geom.p_ay + geom.l1 + geom.l3
-        lo, d = 0.0, 0.0
-        coarse = 0.05
-        while d < d_hi and ok(d + coarse):
-            d += coarse
-            lo = d
-        fine = lo
-        while fine < min(lo + coarse, d_hi) and ok(fine + 0.001):
-            fine += 0.001
-        lo, hi = fine, fine + 0.001
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        self._limits = (0.0, lo)
+        # the scan ends by the branch end at the latest, where solve fails
+        self._limits = (0.0, _last_true(ok, 0.0, _SCAN))
         return self._limits
 
 
@@ -374,10 +362,13 @@ def forward_points(geom: CavsGeometry, theta1: float, theta2: float) -> JointSta
 def solve_joint_angles(geom: CavsGeometry, d: float) -> JointState:
     """Branch-followed solution of the deformation constraints at depth d.
 
-    Warm-starts from the branch node nearest d (nodes every 0.05 mm, each
-    continued from the one below it) and continues to d, bisecting the
-    continuation step whenever a Newton solve stalls.  Residuals are driven
-    below 1e-12 mm.
+    Inverts the monotone depth of the followed branch as a function of C's
+    height on the rail (see FingertipModel) by Newton steps from the rest
+    pose, bisecting whenever a step leaves the bracket between the rest pose
+    and the branch end, until the depth residual is below 1e-12 mm.  The
+    rail constraint holds by construction.  Raises SolverFailure for d past
+    the branch end (9.57 mm on the default geometry, where theta2 reaches 0;
+    beyond its d_max).
     """
     return fingertip_model(geom).solve(d)
 
@@ -393,7 +384,8 @@ def deformation_limits(geom: CavsGeometry) -> tuple[float, float]:
 
     d_min = 0.  d_max is the largest depth at which the branch still solves
     with cos(gamma) >= 0 and the strip end stays in front of the camera
-    (p_Dy > 0, the sensing validity bound) -- found by an upward 0.001 mm
-    scan with bisection refinement.
+    (p_Dy > 0, the sensing validity bound) -- found by an upward 0.05 mm
+    scan and one bisection, so solve_joint_angles(geom, d_max) meets the
+    bounds.
     """
     return fingertip_model(geom).limits()

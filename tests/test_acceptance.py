@@ -7,6 +7,7 @@ anchor values, never from the code under test.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import time
@@ -240,6 +241,9 @@ def _bundled_scenario():
     return parse_scenario(json.loads(ref.read_text(encoding="utf-8")))
 
 
+GOLDEN_CSV_SHA256 = "efe24b78d69ff4ffeb90a9e9dd42b3734a504be52606f634f864b49104a3eaba"
+
+
 def _run(steps, scenario, seed=0):
     world = make_world(GEOM, CameraModel(), FRIC, CTRL, OBJ,
                        initial_gap=scenario.initial_gap_mm, seed=seed)
@@ -258,9 +262,12 @@ def test_bundled_scenario_reproduction():
             else:
                 assert s.slide_achieved
 
-        # deterministic artifact under a fixed seed
+        # deterministic artifact under a fixed seed, equal to the golden CSV
+        # that `cavs-sim control-demo` writes with the default config
         records2, _ = _run(scenario.steps, scenario)
-        assert records_to_csv(records) == records_to_csv(records2)
+        text = records_to_csv(records)
+        assert text == records_to_csv(records2)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_CSV_SHA256
 
         # the disturbance only ever enters through its own finger's commands
         idx = next(i for i, s in enumerate(scenario.steps) if s.disturbance is not None)

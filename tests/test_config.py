@@ -49,6 +49,7 @@ def test_overrides_land_in_the_right_sections():
     {"friction": {"mu": _mu() | {"XC": {}}}},
     {"friction": {"mu": {"LC": {"lateral": 0.5, "longitudinal": 1.0, "up": 1.0},
                          "SC": {"lateral": 1.1, "longitudinal": 2.2}}}},
+    {"friction": {"kinetic_fraction": 0.8}},
 ])
 def test_unknown_keys_rejected(doc):
     with pytest.raises(ConfigError, match="unknown key"):

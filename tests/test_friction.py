@@ -110,8 +110,6 @@ def test_params_invariants_enforced():
         FrictionParams(d_LC_end=3.3, d_SC_start=3.3)
     with pytest.raises(ValueError):
         FrictionParams(f_local_max=0.9, f_local_min=0.97)
-    with pytest.raises(ValueError):
-        FrictionParams(kinetic_fraction=0.0)
     # SC slope must exceed twice LC for each direction
     mu = {(ContactState.LC, Direction.lateral): 0.5,
           (ContactState.LC, Direction.longitudinal): 1.0,

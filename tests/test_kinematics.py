@@ -71,12 +71,14 @@ EDGE_GEOM = CavsGeometry(l1=4.128216496360151, l2=5.618048704695848, l3=5.113773
                          p_ay=2.4300061029623428, d_sc=3.716757519350165)
 
 
-@pytest.mark.parametrize("geom", [
-    GEOM,
-    CavsGeometry(p_ay=GEOM.p_ay + 0.1, l2=GEOM.l2 - 0.1),
-    CavsGeometry(p_ay=GEOM.p_ay - 0.1, l2=GEOM.l2 + 0.1),
-    EDGE_GEOM,
-], ids=["default", "p_ay+l2-", "p_ay-l2+", "edge"])
+# the default geometry and two with the rest pose moved both ways
+GEOMS = [GEOM,
+         CavsGeometry(p_ay=GEOM.p_ay + 0.1, l2=GEOM.l2 - 0.1),
+         CavsGeometry(p_ay=GEOM.p_ay - 0.1, l2=GEOM.l2 + 0.1)]
+GEOM_IDS = ["default", "p_ay+l2-", "p_ay-l2+"]
+
+
+@pytest.mark.parametrize("geom", GEOMS + [EDGE_GEOM], ids=GEOM_IDS + ["edge"])
 def test_rest_pose_is_stationary_or_infeasible(geom):
     if geom is EDGE_GEOM:
         with pytest.raises(GeometryInfeasible):
@@ -90,15 +92,28 @@ def test_rest_pose_is_stationary_or_infeasible(geom):
         assert _rest_misfit(rp.theta1 + dt1, rp.theta2 + dt2, geom) >= base - 1e-12
 
 
-@pytest.mark.parametrize("d", [0.7, 1.9, 3.1])
-def test_solver_spot_agreement_with_exhaustive_grid(d):
-    state = solve_joint_angles(GEOM, d)
+# The default linkage lifted by 10 mm: the rest fit and every angle of the
+# branch are the same (its effective apex anchor is EY0_EFF + 10), but the
+# strip end stays above the camera, so d_max is the branch end where theta2
+# reaches 0, past the depth 7.3275 mm at which the l2 link turns horizontal
+# and theta1 turns back.
+LIFTED = CavsGeometry(p_ay=GEOM.p_ay + 10.0, p_ey0=GEOM.p_ey0 + 10.0)
+
+
+@pytest.mark.parametrize("geom, ey0_eff, d", [
+    (GEOM, EY0_EFF, 0.7),
+    (GEOM, EY0_EFF, 1.9),
+    (GEOM, EY0_EFF, 3.1),
+    (LIFTED, EY0_EFF + 10.0, 8.0),
+], ids=["0.7", "1.9", "3.1", "lifted-8.0"])
+def test_solver_spot_agreement_with_exhaustive_grid(geom, ey0_eff, d):
+    state = solve_joint_angles(geom, d)
 
     def misfit(t1: float, t2: float) -> float:
-        _, ey, cx, _, _ = endpoints(GEOM, t1, t2)
-        return (ey - (EY0_EFF - d)) ** 2 + (cx - CX0_EFF) ** 2
+        _, ey, cx, _, _ = endpoints(geom, t1, t2)
+        return (ey - (ey0_eff - d)) ** 2 + (cx - CX0_EFF) ** 2
 
-    t1, t2, low = solve_misfit_grid(GEOM, EY0_EFF - d, CX0_EFF, step=0.004)
+    t1, t2, low = solve_misfit_grid(geom, ey0_eff - d, CX0_EFF, step=0.004)
     # the in-box root is unique: every low-misfit node clusters at the argmin
     for lt1, lt2 in low:
         assert math.hypot(lt1 - t1, lt2 - t2) < 0.05
@@ -107,22 +122,67 @@ def test_solver_spot_agreement_with_exhaustive_grid(d):
     assert abs(state.theta2 - t2) < 1e-6
 
 
-def test_solve_residuals_and_round_trip():
-    rp = rest_pose(GEOM)
+@pytest.mark.parametrize("geom", GEOMS, ids=GEOM_IDS)
+def test_solve_residuals_and_round_trip(geom):
+    rp = rest_pose(geom)
     for d in np.linspace(0.0, 3.5, 60):
         d = float(d)
-        state = solve_joint_angles(GEOM, d)
+        state = solve_joint_angles(geom, d)
         assert abs(state.p_E[1] - (rp.p_ey0_eff - d)) < 1e-9
         assert abs(state.p_C[0] - rp.p_cx0_eff) < 1e-9
-        again = forward_points(GEOM, state.theta1, state.theta2)
+        again = forward_points(geom, state.theta1, state.theta2)
         assert abs(again.d - d) < 1e-9
         assert again.p_D == state.p_D
+
+
+# anchors moved by several mm give branches of other shapes: theta1 rises
+# with d, or the l2 link points down at rest (cos(theta1 + theta2) < 0) and
+# the rail passes so close to A that the branch ends where theta2 reaches
+# pi; each branch ends just past the given depth
+@pytest.mark.parametrize("geom, depth", [
+    (CavsGeometry(p_ax=-8.1, p_ay=7.38, p_cx0=-3.29, p_ex0=-2.01, p_ey0=6.12), 3.3),
+    (CavsGeometry(p_ax=0.84, p_ay=6.53, p_cx0=-4.52, p_ex0=6.68, p_ey0=5.76), 1.2),
+], ids=["theta1-rises", "l2-down"])
+def test_branches_of_other_shapes(geom, depth):
+    rp = rest_pose(geom)
+    depths = [float(d) for d in np.linspace(0.0, depth, 34)]
+    states = [solve_joint_angles(geom, d) for d in depths]
+    # the branch starts at the rest pose, not at its mirror image in the rail
+    assert abs(states[0].theta1 - rp.theta1) < 1e-12
+    assert abs(states[0].theta2 - rp.theta2) < 1e-12
+    for d, state in zip(depths, states):
+        assert abs(state.p_E[1] - (rp.p_ey0_eff - d)) < 1e-9
+        assert abs(state.p_C[0] - rp.p_cx0_eff) < 1e-9
+    steps = np.diff([state.theta1 for state in states])
+    assert np.all(steps > 0) or np.all(steps < 0)
+    with pytest.raises(SolverFailure):
+        solve_joint_angles(geom, depth + 0.1)
+
+
+def test_branch_runs_on_where_theta1_turns_back():
+    d_max = deformation_limits(LIFTED)[1]
+    assert d_max > 9.5
+    rp = rest_pose(LIFTED)
+    depths = [float(d) for d in np.linspace(7.0, d_max, 50)]
+    depths += [7.3275 + k * 1e-7 for k in range(-5, 6)] + [d_max - 10.0 ** -k for k in range(3, 13)]
+    for d in depths:
+        state = solve_joint_angles(LIFTED, d)
+        assert abs(state.d - d) < 1e-12
+        assert abs(state.p_C[0] - rp.p_cx0_eff) < 1e-12
+    # the l2 link passes horizontal and theta1 turns back
+    before, after = solve_joint_angles(LIFTED, 7.3), solve_joint_angles(LIFTED, 7.4)
+    assert math.cos(before.theta1 + before.theta2) > 0.0 > math.cos(after.theta1 + after.theta2)
+    assert solve_joint_angles(LIFTED, 8.0).theta1 > after.theta1
+    assert solve_joint_angles(LIFTED, d_max).theta2 < 1e-9
+    with pytest.raises(SolverFailure):
+        solve_joint_angles(LIFTED, d_max + 0.01)
 
 
 def test_branch_continuity():
     prev = solve_joint_angles(GEOM, 0.0)
     for d in np.arange(0.005, 3.5001, 0.005):
         state = solve_joint_angles(GEOM, float(d))
+        assert state.theta1 < prev.theta1  # theta1 falls as the apex is pressed
         assert abs(state.theta1 - prev.theta1) < 0.02
         assert abs(state.theta2 - prev.theta2) < 0.02
         prev = state
@@ -179,6 +239,9 @@ def test_solver_rejects_bad_depths():
         solve_joint_angles(GEOM, float("nan"))
     with pytest.raises(SolverFailure):
         solve_joint_angles(GEOM, 50.0)
+    # just past the branch end at 9.57 mm, where theta2 reaches 0
+    with pytest.raises(SolverFailure):
+        solve_joint_angles(GEOM, 9.6)
 
 
 def test_infeasible_geometry_raises():
