@@ -12,9 +12,9 @@ from .friction import ContactState, Direction, DivisionDomain, FrictionParams, \
     classify_contact_state, ecmsf, max_resistible_force, max_resistible_force_at, pressing_force
 from .kinematics import CavsGeometry, GeometryInfeasible, JointState, RestPose, SolverFailure, \
     deformation_limits, forward_points, projected_width_wx, rest_pose, solve_joint_angles
-from .plant import Disturbance, GripperWorld, NoContact, ObjectModel, PlantState, ScenarioStep, \
-    SlideOutcome, StepSummary, TimeSeriesRecord, default_slide_demand, equilibrium_solve, \
-    make_world, records_to_csv, run_scenario, scenario_step, slide_check
+from .plant import Disturbance, GripperWorld, NoContact, ObjectModel, PlantState, RootMemo, \
+    ScenarioStep, SlideOutcome, StepSummary, TimeSeriesRecord, default_slide_demand, \
+    equilibrium_solve, make_world, records_to_csv, run_scenario, scenario_step, slide_check
 from .sensing import BehindCamera, CameraModel, NotCalibrated, SyntheticFrame, \
     calibrate_sc_reference, detect_red_ratio, frame_to_ppm, image_width_wimg, ppm_to_frame, \
     red_area_ratio, render_synthetic_frame, reported_ratio

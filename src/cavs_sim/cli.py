@@ -68,9 +68,17 @@ def _csv_text(header: tuple[str, ...], rows) -> str:
     return buf.getvalue()
 
 
+_MAX_GRID_STEPS = 1_000_000
+
+
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    n = max(1, round((hi - lo) / step))
-    return np.linspace(lo, hi, n + 1)
+    """lo to hi in about `step` increments.  A grid of more than
+    _MAX_GRID_STEPS steps is refused before anything is allocated."""
+    steps = (hi - lo) / step  # inf when the quotient overflows
+    if not steps <= _MAX_GRID_STEPS:
+        raise ConfigError(f"--step {step:g} makes {steps:,.0f} grid steps, more than the "
+                          f"limit of {_MAX_GRID_STEPS:,}")
+    return np.linspace(lo, hi, max(1, round(steps)) + 1)
 
 
 def _check_depth(geom: CavsGeometry, d: float, flag: str) -> None:

@@ -157,6 +157,7 @@ def load_config(path: str | Path | None) -> Config:
 
 
 _SCENARIO_KEYS = ("steps", "tick_dt_s", "initial_gap_mm")
+_MAX_SCENARIO_TICKS = 100_000
 _STEP_KEYS = ("name", "target_mode", "duration_s", "disturbance")
 _DISTURBANCE_KEYS = ("finger", "kind", "magnitude", "t_offset_s", "duration_s")
 
@@ -212,6 +213,11 @@ def parse_scenario(data: dict) -> Scenario:
     tick_dt = _number(data.get("tick_dt_s", 0.1), "scenario.tick_dt_s")
     if not tick_dt > 0:
         raise ConfigError("scenario.tick_dt_s must be positive")
+    # every step runs at least one tick; a quotient too large for a float is inf
+    n_ticks = sum(max(1.0, step.duration_s / tick_dt) for step in steps)
+    if not n_ticks <= _MAX_SCENARIO_TICKS:
+        raise ConfigError(f"scenario runs {n_ticks:,.0f} ticks, more than the limit of "
+                          f"{_MAX_SCENARIO_TICKS:,}")
     gap = data.get("initial_gap_mm")
     gap_val = None if gap is None else _number(gap, "scenario.initial_gap_mm")
     if gap_val is not None and gap_val < 0:

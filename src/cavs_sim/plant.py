@@ -18,7 +18,10 @@ the clamp adds no root, because where it acts the residual is -F(d_left).
 
 The scenario runner closes the loop: measure ratios, decide per-finger
 deadband commands, move fingers, re-solve equilibrium, log one CSV record
-per finger per tick.
+per finger per tick.  The deadband commands are fixed steps, so the loop
+keeps returning to the same few squeezes; each world keeps the root lists
+it has enumerated, keyed by the exact squeeze, and picks among them afresh
+from its branch memory on every tick.
 """
 from __future__ import annotations
 
@@ -192,16 +195,42 @@ def _enumerate_equilibria(fric: FrictionParams, obj: ObjectModel, squeeze: float
     return [(d, max(0.0, squeeze - d - press_force_scalar(knots, d) / k)) for d in found]
 
 
+class RootMemo:
+    """The equilibrium root lists of one world, keyed by the exact squeeze.
+
+    A root list depends only on (fric, obj.stiffness, squeeze, d_sc), so a
+    list found once is reused whenever the squeeze recurs.  The memo
+    remembers the (fric, obj, d_sc) its lists belong to and starts empty
+    again when asked about different ones.
+    """
+
+    def __init__(self) -> None:
+        self.owner: tuple | None = None
+        self.roots: dict[float, tuple[tuple[float, float], ...]] = {}
+
+    def roots_at(self, fric: FrictionParams, obj: ObjectModel, squeeze: float,
+                 d_sc: float) -> tuple[tuple[float, float], ...]:
+        owner = (fric, obj, d_sc)
+        if owner != self.owner:  # identity first, so the usual case is cheap
+            self.owner, self.roots = owner, {}
+        roots = self.roots.get(squeeze)
+        if roots is None:
+            roots = self.roots[squeeze] = tuple(_enumerate_equilibria(fric, obj, squeeze, d_sc))
+        return roots
+
+
 def equilibrium_solve(fric: FrictionParams, obj: ObjectModel,
                       finger_pos_left: float, finger_pos_right: float,
                       branch_memory: tuple[float, float] = (0.0, 0.0),
-                      *, d_sc: float = 3.5) -> PlantState:
+                      *, d_sc: float = 3.5, memo: RootMemo | None = None) -> PlantState:
     """Deformations and normal forces at the current finger positions.
 
     Enumerates every equilibrium of the non-monotonic force balance and
     keeps the root nearest branch_memory (path continuity across folds),
-    breaking ties toward smaller total deformation.  Raises NoContact when
-    the gap meets or exceeds the object width.
+    breaking ties toward smaller total deformation.  With a memo the
+    enumeration is looked up there first and stored there after; the pick
+    is made from branch_memory either way, so the result is the same.
+    Raises NoContact when the gap meets or exceeds the object width.
     """
     gap = finger_pos_left + finger_pos_right
     if gap < 0:
@@ -209,7 +238,8 @@ def equilibrium_solve(fric: FrictionParams, obj: ObjectModel,
     if gap >= obj.nominal_width:
         raise NoContact(f"gap {gap:g} mm >= object width {obj.nominal_width:g} mm")
     squeeze = obj.nominal_width - gap
-    roots = _enumerate_equilibria(fric, obj, squeeze, d_sc)
+    roots = _enumerate_equilibria(fric, obj, squeeze, d_sc) if memo is None \
+        else memo.roots_at(fric, obj, squeeze, d_sc)
     if not roots:
         raise SolverFailure(f"no equilibrium found at squeeze {squeeze:g} mm")
     m_l, m_r = branch_memory
@@ -264,7 +294,13 @@ def default_slide_demand(geom: CavsGeometry, fric: FrictionParams,
                          ctrl: ControllerConfig) -> float:
     """Midpoint between the LC and SC longitudinal f_MAX at their typical
     normal forces: the press force at the LC ratio target's deformation and
-    at d_sc respectively.  Slides in LC, holds in SC by construction."""
+    at d_sc respectively.  Slides in LC, holds in SC by construction.
+
+    The LC deformation is found on a freshly calibrated default
+    CameraModel(), not the world's camera.  That is exact: red_area_ratio
+    is bit-for-bit independent of focal_px (see its docstring), reads no
+    other camera field but the calibration it requires, and the camera's
+    noise never enters, since reported_ratio adds it afterwards."""
     cam = calibrate_sc_reference(CameraModel(), geom)
 
     def ratio(d: float) -> float:
@@ -291,7 +327,10 @@ def default_slide_demand(geom: CavsGeometry, fric: FrictionParams,
 
 @dataclass
 class GripperWorld:
-    """Mutable closed-loop state advanced tick-by-tick by one runner."""
+    """Mutable closed-loop state advanced tick-by-tick by one runner.
+
+    root_memo holds the equilibrium root lists of the squeezes this world
+    has visited; it belongs to the world, so a new world starts cold."""
 
     geom: CavsGeometry
     cam: CameraModel  # calibrated
@@ -303,6 +342,7 @@ class GripperWorld:
     pos_right: float
     plant: PlantState
     rng: np.random.Generator
+    root_memo: RootMemo
     time_s: float = 0.0
 
 
@@ -325,7 +365,7 @@ def make_world(geom: CavsGeometry, cam: CameraModel, fric: FrictionParams,
     return GripperWorld(
         geom=geom, cam=cam, fric=fric, ctrl=ctrl, obj=obj,
         slide_demand=demand, pos_left=pos, pos_right=pos,
-        plant=plant, rng=np.random.default_rng(seed),
+        plant=plant, rng=np.random.default_rng(seed), root_memo=RootMemo(),
     )
 
 
@@ -336,8 +376,9 @@ def scenario_step(world: GripperWorld, step: ScenarioStep,
     Per tick: measure each finger's ratio from its current deformation
     (noise, then any active disturbance), decide the deadband commands,
     move the fingers (floored at the object center), re-solve the
-    equilibrium, and log the post-move state.  A force_N disturbance
-    perturbs the logged/checked normal force instead of the measurement.
+    equilibrium through the world's root memo, and log the post-move
+    state.  A force_N disturbance perturbs the logged/checked normal force
+    instead of the measurement.
     """
     if not tick_dt > 0:
         raise ValueError("tick_dt must be positive")
@@ -364,7 +405,7 @@ def scenario_step(world: GripperWorld, step: ScenarioStep,
         try:
             plant = equilibrium_solve(world.fric, world.obj, world.pos_left,
                                       world.pos_right, world.plant.branch_memory,
-                                      d_sc=world.geom.d_sc)
+                                      d_sc=world.geom.d_sc, memo=world.root_memo)
         except NoContact:
             plant = no_contact_state(world.pos_left, world.pos_right)
         except SolverFailure as exc:

@@ -150,6 +150,11 @@ def test_render_ppm(tmp_path):
     (["anisotropy", "--f-max", "inf"], 2, "error:"),
     (["ratio-curve", "--step", "nan"], 2, "error:"),
     (["render", "--d", "50", "--out", "x.ppm"], 2, "error:"),
+    # grids past the step limit are refused before numpy allocates them
+    (["ratio-curve", "--step", "1e-9"], 2, "error:"),
+    (["press-curve", "--step", "1e-9", "--out", "x.csv"], 2, "error:"),
+    (["press-curve", "--step", "5e-324"], 2, "error:"),
+    (["anisotropy", "--step", "1e-9"], 2, "error:"),
 ])
 def test_exit_codes_and_single_line_stderr(argv, code, prefix, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # any --out side effects stay here

@@ -160,6 +160,10 @@ def test_scenario_round_trip(tmp_path):
     ({"steps": [{"target_mode": "SC", "duration_s": 1.0, "name": 7}]}, "name"),
     ({"steps": [{"target_mode": "SC", "duration_s": float("inf")}]}, "finite"),
     ({"steps": [{"target_mode": "SC", "duration_s": 1.0}], "tick_dt_s": float("nan")}, "finite"),
+    # tick counts past the limit are refused before any tick runs
+    ({"steps": [{"target_mode": "SC", "duration_s": 1e9}]}, "ticks"),
+    ({"steps": [{"target_mode": "SC", "duration_s": 1e300}], "tick_dt_s": 1e-300}, "ticks"),
+    ({"steps": [{"target_mode": "SC", "duration_s": 6000.0}] * 2, "tick_dt_s": 0.1}, "ticks"),
 ])
 def test_scenario_rejection(doc, msg):
     with pytest.raises(ConfigError, match=msg):

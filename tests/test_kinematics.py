@@ -266,25 +266,27 @@ def test_caches_are_geometry_keyed():
     assert rest_pose(other).theta1 != rest_pose(GEOM).theta1
 
 
-def test_branch_table_is_order_and_thread_independent():
+def test_solves_are_order_and_thread_independent():
     # l_r does not enter the linkage, so these geometries share every angle
-    # while each starts with its own empty branch table
+    # while each gets its own FingertipModel
     cold, warmed, raced = (CavsGeometry(p_ay=2.77, l_r=l_r) for l_r in (5.01, 5.02, 5.03))
-    # the branch nodes up to d = 3.5: past the raced depth, since a node
-    # appended twice would shift every node after it
-    nodes = [k * 0.05 for k in range(71)]
+    # depths every 0.05 mm up to d = 3.5, past the raced depth
+    depths = [k * 0.05 for k in range(71)]
 
-    def table(geom):
-        return [solve_joint_angles(geom, d) for d in nodes]
+    def sweep(geom):
+        return [solve_joint_angles(geom, d) for d in depths]
 
     want = solve_joint_angles(cold, 3.0)
-    want_table = table(cold)
+    want_sweep = sweep(cold)
 
+    # a model that first solved another depth gives the same poses
     solve_joint_angles(warmed, 1.0)
     assert solve_joint_angles(warmed, 3.0) == want
-    assert table(warmed) == want_table
+    assert sweep(warmed) == want_sweep
 
-    rest_pose(raced)  # the threads then extend the same table from d = 0
+    # concurrent first solves on one model agree with the serial ones and
+    # leave its later solves unchanged
+    rest_pose(raced)  # the model exists before the threads start
     workers = 4  # more than the cores of a small machine
     start = threading.Barrier(workers, timeout=30.0)
     got = []
@@ -305,4 +307,4 @@ def test_branch_table_is_order_and_thread_independent():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [want] * workers
-    assert table(raced) == want_table
+    assert sweep(raced) == want_sweep

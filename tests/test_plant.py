@@ -1,11 +1,15 @@
 """Equilibrium solver, snap-through hysteresis, and the closed scenario loop."""
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from cavs_sim.config import parse_scenario
 from cavs_sim.control import ControllerConfig
 from cavs_sim.friction import (ContactState, Direction, FrictionParams,
                                max_resistible_force, pressing_force)
@@ -365,6 +369,79 @@ def test_make_world_defaults():
     explicit = ObjectModel(slide_demand=1.25)
     w2 = make_world(GEOM, CameraModel(), FRIC, ControllerConfig(), explicit)
     assert w2.slide_demand == 1.25
+
+
+# ---------------------------------------------------------------- root memo
+
+def _replay(obj, records, memory):
+    """Per tick (d_left, d_right, f_n_left, f_n_right) from plain,
+    memo-less equilibrium_solve calls at the logged finger positions, with
+    the branch memory carried from one tick to the next."""
+    out = []
+    for left, right in zip(records[0::2], records[1::2]):
+        try:
+            st = equilibrium_solve(FRIC, obj, left.finger_pos_mm, right.finger_pos_mm,
+                                   memory, d_sc=GEOM.d_sc)
+        except NoContact:
+            st = no_contact_state(left.finger_pos_mm, right.finger_pos_mm)
+        memory = st.branch_memory
+        out.append((st.d_left, st.d_right, st.f_n_left, st.f_n_right))
+    return out
+
+
+def _logged(records):
+    return [(left.deformation_mm, right.deformation_mm, left.f_n_N, right.f_n_N)
+            for left, right in zip(records[0::2], records[1::2])]
+
+
+def _contact_squeezes(obj, records):
+    gaps = (left.finger_pos_mm + right.finger_pos_mm
+            for left, right in zip(records[0::2], records[1::2]))
+    return {obj.nominal_width - gap for gap in gaps if gap < obj.nominal_width}
+
+
+def test_memoized_run_equals_a_plain_replay():
+    # steps that are not binary fractions, plus camera noise: positions pick
+    # up rounding, so squeezes equal on paper differ in their last bits and
+    # each must get its own roots
+    ctrl = ControllerConfig(step_open=0.3, step_close=-0.7)
+    w = make_world(GEOM, CameraModel(noise_std_pct=0.5), FRIC, ctrl, OBJ, seed=3)
+    memory = w.plant.branch_memory
+    recs, _ = run_scenario(w, [ScenarioStep("grip", ContactState.SC, 20.0),
+                               ScenarioStep("slide", ContactState.LC, 20.0)])
+    assert _replay(OBJ, recs, memory) == _logged(recs)
+    squeezes = set(w.root_memo.roots)
+    assert squeezes == _contact_squeezes(OBJ, recs)
+    assert len(squeezes) > len({round(s, 9) for s in squeezes})
+
+
+def test_bundled_run_memo_holds_each_contact_squeeze_once():
+    text = resources.files("cavs_sim").joinpath("scenarios", "tube_5step.json").read_text()
+    scenario = parse_scenario(json.loads(text))
+    w = _default_world(initial_gap=scenario.initial_gap_mm)
+    memory = w.plant.branch_memory
+    recs, _ = run_scenario(w, list(scenario.steps), scenario.tick_dt_s)
+    assert _replay(OBJ, recs, memory) == _logged(recs)
+    # 2,000 ticks, 1,998 of them in contact, over 13 distinct squeezes
+    assert set(w.root_memo.roots) == _contact_squeezes(OBJ, recs)
+    assert len(w.root_memo.roots) == 13
+
+
+def test_memo_follows_a_replaced_object():
+    w = _default_world()
+    scenario_step(w, ScenarioStep("grip", ContactState.SC, 5.0))
+    stale = dict(w.root_memo.roots)
+    w.obj = replace(OBJ, stiffness=3.0)
+    memory = w.plant.branch_memory
+    recs = scenario_step(w, ScenarioStep("grip", ContactState.SC, 5.0))
+    assert _replay(w.obj, recs, memory) == _logged(recs)
+    # the stiffer object revisits squeezes the first one cached, and the
+    # memo holds its own roots there, not the first object's
+    assert set(w.root_memo.roots) == _contact_squeezes(w.obj, recs)
+    revisited = set(stale) & set(w.root_memo.roots)
+    assert revisited
+    for squeeze in revisited:
+        assert w.root_memo.roots[squeeze] != stale[squeeze]
 
 
 # ---------------------------------------------------------------- CSV output
