@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import Config, ConfigError, Scenario, load_config, load_scenario, parse_scenario
 from .friction import ContactState, Direction, classify_contact_state, ecmsf, \
-    max_resistible_force, pressing_force
+    max_resistible_force, press_curve, pressing_force
 from .kinematics import CavsGeometry, GeometryInfeasible, SolverFailure, deformation_limits, \
     projected_width_wx, solve_joint_angles
 from .plant import StepSummary, _fmt6, make_world, records_to_csv, run_scenario
@@ -72,8 +72,11 @@ _MAX_GRID_STEPS = 1_000_000
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """lo to hi in about `step` increments.  A grid of more than
-    _MAX_GRID_STEPS steps is refused before anything is allocated."""
+    """lo to hi in about `step` increments.  A step that is not positive,
+    or a grid of more than _MAX_GRID_STEPS steps, is refused before anything
+    is allocated."""
+    if not step > 0:
+        raise ConfigError(f"--step must be positive, got {step:g}")
     steps = (hi - lo) / step  # inf when the quotient overflows
     if not steps <= _MAX_GRID_STEPS:
         raise ConfigError(f"--step {step:g} makes {steps:,.0f} grid steps, more than the "
@@ -93,8 +96,6 @@ def cmd_ratio_curve(cfg: Config, args) -> str:
     geom, cam = cfg.geometry, calibrate_sc_reference(cfg.camera, cfg.geometry)
     d_min = 0.0 if args.d_min is None else args.d_min
     d_max = geom.d_sc if args.d_max is None else args.d_max
-    if not args.step > 0:
-        raise ConfigError(f"--step must be positive, got {args.step:g}")
     if not 0 <= d_min < d_max:
         raise ConfigError(f"need 0 <= d-min < d-max, got [{d_min:g}, {d_max:g}]")
     _check_depth(geom, d_max, "--d-max")
@@ -108,12 +109,10 @@ def cmd_ratio_curve(cfg: Config, args) -> str:
 
 def cmd_press_curve(cfg: Config, args) -> str:
     d_max = cfg.geometry.d_sc if args.d_max is None else args.d_max
-    if not args.step > 0:
-        raise ConfigError(f"--step must be positive, got {args.step:g}")
     if not d_max > 0:
         raise ConfigError(f"--d-max must be positive, got {d_max:g}")
     grid = _grid(0.0, d_max, args.step)
-    forces = pressing_force(cfg.friction, grid, d_sc=cfg.geometry.d_sc)
+    forces = pressing_force(press_curve(cfg.friction, cfg.geometry.d_sc), grid)
     return _csv_text(("d_mm", "force_N"), [(_fmt6(d), _fmt6(f)) for d, f in zip(grid, forces)])
 
 
@@ -122,8 +121,6 @@ def cmd_anisotropy(cfg: Config, args) -> str:
         raise ConfigError(f"--f-min must be positive, got {args.f_min:g}")
     if not args.f_min < args.f_max:
         raise ConfigError("need --f-min < --f-max")
-    if not args.step > 0:
-        raise ConfigError(f"--step must be positive, got {args.step:g}")
     rows = []
     for direction in (Direction.lateral, Direction.longitudinal):
         for state in (ContactState.LC, ContactState.SC):

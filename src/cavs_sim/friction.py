@@ -165,8 +165,14 @@ def _hermite(x, x0, x1, y0, y1, m0, m1):
             + y1 * (-2 * t3 + 3 * t2) + m1 * h * (t3 - t2))
 
 
-def press_curve_knots(params: FrictionParams, d_sc: float):
-    """(x1, x2, x3, y1, y2, y3, m0, s_tail) for the press curve."""
+PressCurve = tuple[float, float, float, float, float, float, float, float]
+
+
+def press_curve(params: FrictionParams, d_sc: float) -> PressCurve:
+    """The knots (x1, x2, x3, y1, y2, y3, m0, s_tail) of the press curve of
+    params with its tail knot at d_sc.  A plain tuple: it hashes and
+    compares by value, and it unpacks on the interpreter's fast path, which
+    a tuple subclass such as a NamedTuple does not."""
     if not d_sc > params.d_SC_start:
         raise ValueError("d_sc must exceed d_SC_start for the rising tail")
     x1, x2, x3 = params.d_LC_end, params.d_SC_start, d_sc
@@ -184,13 +190,10 @@ def press_curve_knots(params: FrictionParams, d_sc: float):
     return x1, x2, x3, y1, y2, y3, m0, s_tail
 
 
-def press_force_scalar(knots, x: float) -> float:
-    """Press force at one deformation x >= 0 from press_curve_knots output.
-
-    The per-point path of pressing_force; hot loops build the knots once
-    and call this directly.
-    """
-    x1, x2, x3, y1, y2, y3, m0, s_tail = knots
+def press_force_scalar(curve: PressCurve, x: float) -> float:
+    """Press force at one deformation x >= 0; the per-point path of
+    pressing_force, which hot loops call directly."""
+    x1, x2, x3, y1, y2, y3, m0, s_tail = curve
     if x < 0:
         raise ValueError("deformation must be >= 0")
     if x <= x1:
@@ -202,7 +205,7 @@ def press_force_scalar(knots, x: float) -> float:
     return y3 + s_tail * (x - x3)
 
 
-def pressing_force(params: FrictionParams, d, *, d_sc: float = 3.5):
+def pressing_force(curve: PressCurve, d):
     """Press force as a function of deformation (buckling dip included).
 
     C1 piecewise cubic through (0, 0), the zero-slope local maximum
@@ -214,10 +217,9 @@ def pressing_force(params: FrictionParams, d, *, d_sc: float = 3.5):
     two anchors.  Accepts scalars or numpy arrays; d must be >= 0, and a NaN
     array element comes out as NaN.
     """
-    knots = press_curve_knots(params, d_sc)
     if np.ndim(d) == 0:
-        return press_force_scalar(knots, float(d))
-    x1, x2, x3, y1, y2, y3, m0, s_tail = knots
+        return press_force_scalar(curve, float(d))
+    x1, x2, x3, y1, y2, y3, m0, s_tail = curve
     x = np.asarray(d, dtype=float)
     if np.any(x < 0):
         raise ValueError("deformation must be >= 0")

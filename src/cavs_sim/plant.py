@@ -20,8 +20,8 @@ The scenario runner closes the loop: measure ratios, decide per-finger
 deadband commands, move fingers, re-solve equilibrium, log one CSV record
 per finger per tick.  The deadband commands are fixed steps, so the loop
 keeps returning to the same few squeezes; each world keeps the root lists
-it has enumerated, keyed by the exact squeeze, and picks among them afresh
-from its branch memory on every tick.
+it has enumerated, keyed by press curve, stiffness and exact squeeze, and
+picks among them afresh from its branch memory on every tick.
 """
 from __future__ import annotations
 
@@ -33,15 +33,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .control import ControllerConfig, dual_finger_step
-from .friction import (ContactState, Direction, FrictionParams, classify_contact_state,
-                       max_resistible_force, max_resistible_force_at, press_curve_knots,
-                       press_force_scalar, pressing_force)
+from .friction import (ContactState, Direction, FrictionParams, PressCurve,
+                       classify_contact_state, max_resistible_force, max_resistible_force_at,
+                       press_curve, press_force_scalar, pressing_force)
 from .kinematics import CavsGeometry, SolverFailure, solve_joint_angles
 from .sensing import CameraModel, calibrate_sc_reference, red_area_ratio, reported_ratio
 
 
 class NoContact(Exception):
     """Gap at or beyond the object width: zero forces, zero deformation."""
+
+
+_SCAN_STEP = 1e-3  # mm, equilibrium enumeration grid
+_MAX_WIDTH = 1000.0  # mm; caps the enumeration at 1,000,000 scan steps
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,9 @@ class ObjectModel:
     slide_demand: float | None = None  # resolved at world construction when unset
 
     def __post_init__(self) -> None:
-        if not self.nominal_width > 0:
-            raise ValueError("nominal_width must be positive")
+        if not 0 < self.nominal_width <= _MAX_WIDTH:
+            raise ValueError(f"nominal_width must be in (0, {_MAX_WIDTH:g}] mm, "
+                             f"got {self.nominal_width:g}")
         if not self.stiffness > 0:
             raise ValueError("stiffness must be positive")
         if self.required_hold_force < 0:
@@ -150,11 +155,10 @@ class SlideOutcome:
     grasp_maintained: bool
 
 
-_SCAN_STEP = 1e-3  # mm, equilibrium enumeration grid
+_Roots = tuple[tuple[float, float], ...]
 
 
-def _enumerate_equilibria(fric: FrictionParams, obj: ObjectModel, squeeze: float,
-                          d_sc: float) -> list[tuple[float, float]]:
+def _enumerate_equilibria(curve: PressCurve, k: float, squeeze: float) -> _Roots:
     """All (d_left, d_right) roots of the force balance at the given squeeze
     (= d_left + d_right + compression).  d_right is eliminated through the
     closure and clamped at zero, leaving one continuous residual in d_left,
@@ -165,17 +169,14 @@ def _enumerate_equilibria(fric: FrictionParams, obj: ObjectModel, squeeze: float
     bisection per strict sign change between adjacent nodes.  The clamp
     adds no root: wherever it acts the residual is F(0) - F(d_l) = -F(d_l),
     negative for d_l > 0, and it is continuous where the clamp sets in."""
-    k = obj.stiffness
-    knots = press_curve_knots(fric, d_sc)
-
     def balance(dl: float) -> float:
-        f = press_force_scalar(knots, dl)
-        return press_force_scalar(knots, max(0.0, squeeze - dl - f / k)) - f
+        f = press_force_scalar(curve, dl)
+        return press_force_scalar(curve, max(0.0, squeeze - dl - f / k)) - f
 
     n = max(3, int(squeeze / _SCAN_STEP) + 2)
     dl = np.linspace(0.0, squeeze, n)
-    f_dl = pressing_force(fric, dl, d_sc=d_sc)
-    h = pressing_force(fric, np.maximum(squeeze - dl - f_dl / k, 0.0), d_sc=d_sc) - f_dl
+    f_dl = pressing_force(curve, dl)
+    h = pressing_force(curve, np.maximum(squeeze - dl - f_dl / k, 0.0)) - f_dl
 
     found = dl[h == 0.0].tolist()
     for i in np.nonzero(h[:-1] * h[1:] < 0.0)[0]:
@@ -192,44 +193,21 @@ def _enumerate_equilibria(fric: FrictionParams, obj: ObjectModel, squeeze: float
                 hi = mid
         found.append(0.5 * (lo + hi))
     found.sort()
-    return [(d, max(0.0, squeeze - d - press_force_scalar(knots, d) / k)) for d in found]
-
-
-class RootMemo:
-    """The equilibrium root lists of one world, keyed by the exact squeeze.
-
-    A root list depends only on (fric, obj.stiffness, squeeze, d_sc), so a
-    list found once is reused whenever the squeeze recurs.  The memo
-    remembers the (fric, obj, d_sc) its lists belong to and starts empty
-    again when asked about different ones.
-    """
-
-    def __init__(self) -> None:
-        self.owner: tuple | None = None
-        self.roots: dict[float, tuple[tuple[float, float], ...]] = {}
-
-    def roots_at(self, fric: FrictionParams, obj: ObjectModel, squeeze: float,
-                 d_sc: float) -> tuple[tuple[float, float], ...]:
-        owner = (fric, obj, d_sc)
-        if owner != self.owner:  # identity first, so the usual case is cheap
-            self.owner, self.roots = owner, {}
-        roots = self.roots.get(squeeze)
-        if roots is None:
-            roots = self.roots[squeeze] = tuple(_enumerate_equilibria(fric, obj, squeeze, d_sc))
-        return roots
+    return tuple((d, max(0.0, squeeze - d - press_force_scalar(curve, d) / k)) for d in found)
 
 
 def equilibrium_solve(fric: FrictionParams, obj: ObjectModel,
                       finger_pos_left: float, finger_pos_right: float,
                       branch_memory: tuple[float, float] = (0.0, 0.0),
-                      *, d_sc: float = 3.5, memo: RootMemo | None = None) -> PlantState:
+                      *, d_sc: float, memo: dict | None = None) -> PlantState:
     """Deformations and normal forces at the current finger positions.
 
     Enumerates every equilibrium of the non-monotonic force balance and
     keeps the root nearest branch_memory (path continuity across folds),
-    breaking ties toward smaller total deformation.  With a memo the
-    enumeration is looked up there first and stored there after; the pick
-    is made from branch_memory either way, so the result is the same.
+    breaking ties toward smaller total deformation.  The roots are a pure
+    function of (press curve, stiffness, squeeze), and memo maps that key
+    to them: they are looked up there first and stored there after.  The
+    pick is made from branch_memory either way, so the result is the same.
     Raises NoContact when the gap meets or exceeds the object width.
     """
     gap = finger_pos_left + finger_pos_right
@@ -238,8 +216,12 @@ def equilibrium_solve(fric: FrictionParams, obj: ObjectModel,
     if gap >= obj.nominal_width:
         raise NoContact(f"gap {gap:g} mm >= object width {obj.nominal_width:g} mm")
     squeeze = obj.nominal_width - gap
-    roots = _enumerate_equilibria(fric, obj, squeeze, d_sc) if memo is None \
-        else memo.roots_at(fric, obj, squeeze, d_sc)
+    curve = press_curve(fric, d_sc)
+    memo = {} if memo is None else memo
+    key = (curve, obj.stiffness, squeeze)
+    roots = memo.get(key)
+    if roots is None:
+        roots = memo[key] = _enumerate_equilibria(curve, obj.stiffness, squeeze)
     if not roots:
         raise SolverFailure(f"no equilibrium found at squeeze {squeeze:g} mm")
     m_l, m_r = branch_memory
@@ -250,8 +232,8 @@ def equilibrium_solve(fric: FrictionParams, obj: ObjectModel,
         return (round(dist, 9), round(root[0] + root[1], 9), root[0])
 
     d_l, d_r = min(roots, key=rank)
-    f_l = float(pressing_force(fric, d_l, d_sc=d_sc))
-    f_r = float(pressing_force(fric, d_r, d_sc=d_sc))
+    f_l = float(pressing_force(curve, d_l))
+    f_r = float(pressing_force(curve, d_r))
     snapped = math.hypot(d_l - m_l, d_r - m_r) > 1.0 and branch_memory != (0.0, 0.0)
     return PlantState(
         finger_pos_left=finger_pos_left,
@@ -318,8 +300,9 @@ def default_slide_demand(geom: CavsGeometry, fric: FrictionParams,
             else:
                 hi = mid
         d_lc = 0.5 * (lo + hi)
-    f_lc = float(pressing_force(fric, d_lc, d_sc=geom.d_sc))
-    f_sc = float(pressing_force(fric, geom.d_sc, d_sc=geom.d_sc))
+    curve = press_curve(fric, geom.d_sc)
+    f_lc = float(pressing_force(curve, d_lc))
+    f_sc = float(pressing_force(curve, geom.d_sc))
     lc_max = max_resistible_force(fric, ContactState.LC, Direction.longitudinal, f_lc)
     sc_max = max_resistible_force(fric, ContactState.SC, Direction.longitudinal, f_sc)
     return 0.5 * (lc_max + sc_max)
@@ -329,8 +312,8 @@ def default_slide_demand(geom: CavsGeometry, fric: FrictionParams,
 class GripperWorld:
     """Mutable closed-loop state advanced tick-by-tick by one runner.
 
-    root_memo holds the equilibrium root lists of the squeezes this world
-    has visited; it belongs to the world, so a new world starts cold."""
+    root_memo maps (press curve, stiffness, squeeze) to the equilibrium
+    roots this world has enumerated; a new world starts cold."""
 
     geom: CavsGeometry
     cam: CameraModel  # calibrated
@@ -342,8 +325,8 @@ class GripperWorld:
     pos_right: float
     plant: PlantState
     rng: np.random.Generator
-    root_memo: RootMemo
     time_s: float = 0.0
+    root_memo: dict[tuple[PressCurve, float, float], _Roots] = field(default_factory=dict)
 
 
 def make_world(geom: CavsGeometry, cam: CameraModel, fric: FrictionParams,
@@ -365,7 +348,7 @@ def make_world(geom: CavsGeometry, cam: CameraModel, fric: FrictionParams,
     return GripperWorld(
         geom=geom, cam=cam, fric=fric, ctrl=ctrl, obj=obj,
         slide_demand=demand, pos_left=pos, pos_right=pos,
-        plant=plant, rng=np.random.default_rng(seed), root_memo=RootMemo(),
+        plant=plant, rng=np.random.default_rng(seed),
     )
 
 

@@ -20,7 +20,7 @@ from cavs_sim.config import parse_scenario
 from cavs_sim.control import ContactState as Mode
 from cavs_sim.control import ControllerConfig, control_step
 from cavs_sim.friction import (ContactState, Direction, FrictionParams, ecmsf,
-                               max_resistible_force, pressing_force)
+                               max_resistible_force, press_curve, pressing_force)
 from cavs_sim.kinematics import CavsGeometry, rest_pose, solve_joint_angles
 from cavs_sim.plant import (ObjectModel, ScenarioStep, equilibrium_solve, make_world,
                             records_to_csv, run_scenario)
@@ -30,13 +30,14 @@ from oracles import compass, endpoints, equilibria_scan, hand_loop, solve_misfit
 
 GEOM = CavsGeometry()
 FRIC = FrictionParams()
+CURVE = press_curve(FRIC, GEOM.d_sc)
 CTRL = ControllerConfig()
 OBJ = ObjectModel()
 CAM = calibrate_sc_reference(CameraModel(), GEOM)
 
 
 def _force(d):
-    return pressing_force(FRIC, d)
+    return pressing_force(CURVE, d)
 
 
 def _ratio(d):
@@ -219,7 +220,7 @@ def test_snap_through_sweep_matches_root_scan():
         mem_orc = (0.0, 0.0)
         down, up = [], []
         for i, g in enumerate(sweep):
-            st = equilibrium_solve(FRIC, soft, g / 2, g / 2, mem_pkg)
+            st = equilibrium_solve(FRIC, soft, g / 2, g / 2, mem_pkg, d_sc=GEOM.d_sc)
             mem_pkg = st.branch_memory
             roots = equilibria_scan(_force, soft.stiffness, 30.0 - g)
             picked = follow_oracle(mem_orc, roots)

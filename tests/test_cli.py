@@ -155,6 +155,9 @@ def test_render_ppm(tmp_path):
     (["press-curve", "--step", "1e-9", "--out", "x.csv"], 2, "error:"),
     (["press-curve", "--step", "5e-324"], 2, "error:"),
     (["anisotropy", "--step", "1e-9"], 2, "error:"),
+    # one positive-step check in the shared grid builder
+    (["press-curve", "--step", "0"], 2, "error:"),
+    (["anisotropy", "--step", "-1"], 2, "error:"),
 ])
 def test_exit_codes_and_single_line_stderr(argv, code, prefix, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # any --out side effects stay here

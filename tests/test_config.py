@@ -96,6 +96,8 @@ def test_domain_errors_arrive_as_config_errors():
         parse_config({"controller": {"epsilon": 0.0}})
     with pytest.raises(ConfigError, match="stiffness"):
         parse_config({"object": {"stiffness": 0.0}})
+    with pytest.raises(ConfigError, match="object: nominal_width"):
+        parse_config({"object": {"nominal_width": 1e6}})  # a 1e9-node root scan
 
 
 def test_d_sc_must_sit_on_the_rising_tail():

@@ -14,28 +14,30 @@ from cavs_sim.friction import (
     ecmsf,
     max_resistible_force,
     max_resistible_force_at,
+    press_curve,
     pressing_force,
 )
 
 P = FrictionParams()
+CURVE = press_curve(P, 3.5)
 
 
 def _slope_right(d: float, h: float = 1e-6) -> float:
     # one-sided second-order difference, stays within one cubic segment
-    f0 = pressing_force(P, d)
-    return (-3 * f0 + 4 * pressing_force(P, d + h) - pressing_force(P, d + 2 * h)) / (2 * h)
+    f0 = pressing_force(CURVE, d)
+    return (-3 * f0 + 4 * pressing_force(CURVE, d + h) - pressing_force(CURVE, d + 2 * h)) / (2 * h)
 
 
 def _slope_left(d: float, h: float = 1e-6) -> float:
-    f0 = pressing_force(P, d)
-    return (3 * f0 - 4 * pressing_force(P, d - h) + pressing_force(P, d - 2 * h)) / (2 * h)
+    f0 = pressing_force(CURVE, d)
+    return (3 * f0 - 4 * pressing_force(CURVE, d - h) + pressing_force(CURVE, d - 2 * h)) / (2 * h)
 
 
 def test_press_curve_anchors():
-    assert pressing_force(P, 0.0) == 0.0
-    assert pressing_force(P, 1.9) == pytest.approx(1.43, abs=1e-12)
-    assert pressing_force(P, 3.3) == pytest.approx(0.97, abs=1e-12)
-    assert pressing_force(P, 3.5) == pytest.approx(1.89, abs=1e-12)
+    assert pressing_force(CURVE, 0.0) == 0.0
+    assert pressing_force(CURVE, 1.9) == pytest.approx(1.43, abs=1e-12)
+    assert pressing_force(CURVE, 3.3) == pytest.approx(0.97, abs=1e-12)
+    assert pressing_force(CURVE, 3.5) == pytest.approx(1.89, abs=1e-12)
 
 
 def test_press_curve_zero_slope_at_extrema():
@@ -46,11 +48,11 @@ def test_press_curve_zero_slope_at_extrema():
 
 def test_press_curve_segment_monotonicity():
     d = np.linspace(0.0, 1.9, 400)
-    assert (np.diff(pressing_force(P, d)) > 0).all()
+    assert (np.diff(pressing_force(CURVE, d)) > 0).all()
     d = np.linspace(1.9, 3.3, 400)
-    assert (np.diff(pressing_force(P, d)) < 0).all()
+    assert (np.diff(pressing_force(CURVE, d)) < 0).all()
     d = np.linspace(3.3, 4.5, 400)
-    assert (np.diff(pressing_force(P, d)) > 0).all()
+    assert (np.diff(pressing_force(CURVE, d)) > 0).all()
 
 
 def test_press_curve_c1_joins():
@@ -61,39 +63,39 @@ def test_press_curve_c1_joins():
 def test_press_curve_linear_tail():
     # beyond the tail knot the curve is a straight line with the tail secant
     s = (1.89 - 0.97) / (3.5 - 3.3)
-    assert pressing_force(P, 4.0) == pytest.approx(1.89 + 0.5 * s, abs=1e-12)
-    f = pressing_force(P, np.array([3.5, 3.75, 4.0, 4.25]))
+    assert pressing_force(CURVE, 4.0) == pytest.approx(1.89 + 0.5 * s, abs=1e-12)
+    f = pressing_force(CURVE, np.array([3.5, 3.75, 4.0, 4.25]))
     assert np.allclose(np.diff(f, 2), 0.0, atol=1e-12)
 
 
 def test_press_curve_frozen_samples():
-    assert pressing_force(P, 0.5) == pytest.approx(0.6182774677817686, abs=1e-12)
-    assert pressing_force(P, 1.0) == pytest.approx(1.079945204234459, abs=1e-12)
-    assert pressing_force(P, 2.5) == pytest.approx(1.2489504373177842, abs=1e-12)
-    assert pressing_force(P, 3.4) == pytest.approx(1.315, abs=1e-12)
+    assert pressing_force(CURVE, 0.5) == pytest.approx(0.6182774677817686, abs=1e-12)
+    assert pressing_force(CURVE, 1.0) == pytest.approx(1.079945204234459, abs=1e-12)
+    assert pressing_force(CURVE, 2.5) == pytest.approx(1.2489504373177842, abs=1e-12)
+    assert pressing_force(CURVE, 3.4) == pytest.approx(1.315, abs=1e-12)
 
 
 def test_press_curve_array_matches_scalar():
     d = np.linspace(0.0, 5.0, 173)
-    arr = pressing_force(P, d)
+    arr = pressing_force(CURVE, d)
     assert arr.shape == d.shape
     for x, y in zip(d, arr):
-        assert pressing_force(P, float(x)) == pytest.approx(float(y), abs=1e-14)
+        assert pressing_force(CURVE, float(x)) == pytest.approx(float(y), abs=1e-14)
 
 
 def test_press_curve_array_nan_stays_nan():
-    f = pressing_force(P, np.array([0.5, np.nan, 2.5, 3.4, 4.0]))
+    f = pressing_force(CURVE, np.array([0.5, np.nan, 2.5, 3.4, 4.0]))
     assert np.isnan(f[1])
     assert not np.isnan(np.delete(f, 1)).any()
-    assert f[0] == pressing_force(P, 0.5)
-    assert f[4] == pressing_force(P, 4.0)
+    assert f[0] == pressing_force(CURVE, 0.5)
+    assert f[4] == pressing_force(CURVE, 4.0)
 
 
 def test_press_curve_rejects_negative():
     with pytest.raises(ValueError):
-        pressing_force(P, -0.01)
+        pressing_force(CURVE, -0.01)
     with pytest.raises(ValueError):
-        pressing_force(P, np.array([0.5, -0.5]))
+        pressing_force(CURVE, np.array([0.5, -0.5]))
 
 
 def test_classification_boundaries():
@@ -195,4 +197,4 @@ def test_classification_matches_thresholds(d):
 def test_press_curve_lipschitz(d):
     # no jumps anywhere: steepest interior slope (mid tail segment) is ~6.14
     h = 1e-6
-    assert abs(pressing_force(P, d + h) - pressing_force(P, d)) < 7.0 * h
+    assert abs(pressing_force(CURVE, d + h) - pressing_force(CURVE, d)) < 7.0 * h
