@@ -5,8 +5,9 @@ solve.  Common flags: --config PATH (JSON, defaults when omitted),
 --out PATH (stdout for CSV emitters when omitted; required for render and
 control-demo), --seed N (overrides the config seed).
 
-Exit codes: 0 success, 2 configuration/validation error, 3 solver failure,
-4 I/O error; non-zero exits print a single-line diagnostic to stderr.
+Exit codes: 0 success, 2 configuration/validation error or a request too
+large for the memory at hand, 3 solver failure, 4 I/O error; non-zero exits
+print a single-line diagnostic to stderr.
 Output files are written atomically (temp file + rename), so a failing run
 never leaves partial artifacts.
 """
@@ -276,6 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("error: out of memory; ask for a smaller grid or scenario", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

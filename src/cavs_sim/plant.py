@@ -15,6 +15,9 @@ solution (ties toward smaller deformation), which reproduces the physical
 branch-following behavior.  The closure gives d_right from d_left, clamped
 at zero, so the enumeration is one sign scan of one continuous residual;
 the clamp adds no root, because where it acts the residual is -F(d_left).
+Past the tail knot F is linear, so the d_left beyond which the clamp holds
+for good is known in closed form and the scan stops there; each sign
+change it finds is refined by an Illinois (regula falsi) secant.
 
 The scenario runner closes the loop: measure ratios, decide per-finger
 deadband commands, move fingers, re-solve equilibrium, log one CSV record
@@ -46,6 +49,7 @@ class NoContact(Exception):
 
 _SCAN_STEP = 1e-3  # mm, equilibrium enumeration grid
 _MAX_WIDTH = 1000.0  # mm; caps the enumeration at 1,000,000 scan steps
+_REFINE_CAP = 100  # secant steps per bracket, a hard stop; a root takes about 5
 
 
 @dataclass(frozen=True)
@@ -158,6 +162,15 @@ class SlideOutcome:
 _Roots = tuple[tuple[float, float], ...]
 
 
+def _scan_cut(curve: PressCurve, k: float, squeeze: float) -> float:
+    """The d_left past which the closure clamps d_right to zero.  Beyond the
+    tail knot x3 the press curve is the line y3 + s_tail*(d - x3), so there
+    squeeze - d - F(d)/k < 0 exactly when d > (k*squeeze - y3 + s_tail*x3)
+    / (k + s_tail)."""
+    _, _, x3, _, _, y3, _, s_tail = curve
+    return max(x3, (k * squeeze - y3 + s_tail * x3) / (k + s_tail))
+
+
 def _enumerate_equilibria(curve: PressCurve, k: float, squeeze: float) -> _Roots:
     """All (d_left, d_right) roots of the force balance at the given squeeze
     (= d_left + d_right + compression).  d_right is eliminated through the
@@ -165,33 +178,56 @@ def _enumerate_equilibria(curve: PressCurve, k: float, squeeze: float) -> _Roots
 
         balance(d_l) = F(max(0, squeeze - d_l - F(d_l)/k)) - F(d_l),
 
-    whose roots are the grid nodes where it is exactly zero plus one
-    bisection per strict sign change between adjacent nodes.  The clamp
-    adds no root: wherever it acts the residual is F(0) - F(d_l) = -F(d_l),
-    negative for d_l > 0, and it is continuous where the clamp sets in."""
+    whose roots are the nodes of a linspace(0, squeeze) grid at _SCAN_STEP
+    where it is exactly zero plus one root per strict sign change between
+    adjacent nodes.  The clamp adds no root: wherever it acts the residual
+    is F(0) - F(d_l) = -F(d_l), negative for d_l > 0, and it is continuous
+    where the clamp sets in.  So the scan stops at the first node past
+    _scan_cut, where the clamp holds for good; on a soft object that drops
+    most of the grid, and the nodes it keeps have the same residuals as in
+    the full scan.
+
+    Each sign change is refined by the Illinois variant of regula falsi: a
+    secant step inside the bracket, halving the residual of the end that
+    stayed when the same end moves twice running.  The step lands at least
+    two ulps inside the bracket, so once the secant hits the root to
+    rounding the next step tests the root's other side and closes the
+    bracket.  It stops on an exact zero, on a bracket four ulps wide, or
+    after _REFINE_CAP steps."""
     def balance(dl: float) -> float:
         f = press_force_scalar(curve, dl)
         return press_force_scalar(curve, max(0.0, squeeze - dl - f / k)) - f
 
     n = max(3, int(squeeze / _SCAN_STEP) + 2)
     dl = np.linspace(0.0, squeeze, n)
+    dl = dl[:int(np.searchsorted(dl, _scan_cut(curve, k, squeeze), side="right")) + 1]
     f_dl = pressing_force(curve, dl)
     h = pressing_force(curve, np.maximum(squeeze - dl - f_dl / k, 0.0)) - f_dl
 
     found = dl[h == 0.0].tolist()
     for i in np.nonzero(h[:-1] * h[1:] < 0.0)[0]:
-        lo, hi, flo = float(dl[i]), float(dl[i + 1]), float(h[i])
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = balance(mid)
-            if fm == 0.0:
-                lo = hi = mid
+        a, b, fa, fb = float(dl[i]), float(dl[i + 1]), float(h[i]), float(h[i + 1])
+        side = 0  # which end moved last: -1 for a, +1 for b
+        for _ in range(_REFINE_CAP):
+            tol = 2.0 * math.ulp(b)
+            if b - a <= 2.0 * tol:
                 break
-            if (flo < 0) == (fm < 0):
-                lo, flo = mid, fm
+            c = min(max(b - fb * (b - a) / (fb - fa), a + tol), b - tol)
+            fc = balance(c)
+            if fc == 0.0:
+                a = b = c
+                break
+            if (fc < 0.0) == (fa < 0.0):
+                a, fa = c, fc
+                if side == -1:
+                    fb *= 0.5
+                side = -1
             else:
-                hi = mid
-        found.append(0.5 * (lo + hi))
+                b, fb = c, fc
+                if side == 1:
+                    fa *= 0.5
+                side = 1
+        found.append(0.5 * (a + b))
     found.sort()
     return tuple((d, max(0.0, squeeze - d - press_force_scalar(curve, d) / k)) for d in found)
 

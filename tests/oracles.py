@@ -1,8 +1,9 @@
 """Independent oracles used to cross-check the package.
 
 Everything here recomputes results from scratch: exhaustive / windowed grid
-searches over the joint-angle box, a brute-force equilibrium root scan, and
-a hand-rolled symmetric closed-loop simulation.  None of it calls into the
+searches over the joint-angle box, a brute-force equilibrium root scan, the
+plant's earlier grid-and-bisection enumeration as a reference, and a
+hand-rolled symmetric closed-loop simulation.  None of it calls into the
 package's Newton solver or plant bracket logic -- where a force or ratio
 curve is needed it is passed in as a plain callable.
 """
@@ -141,6 +142,41 @@ def equilibria_scan(force, stiffness, squeeze, step=1e-4):
         if not roots or abs(root - roots[-1]) > 1e-8:
             roots.append(root)
     return [(r, max(0.0, squeeze - r - force(r) / stiffness)) for r in roots]
+
+
+def equilibria_grid_bisection(force, stiffness, squeeze, step=1e-3):
+    """The package's root enumeration as it stood before its scan stopped at
+    the clamp point and its refinement became a secant: the residual
+
+        force(max(0, squeeze - dl - force(dl)/stiffness)) - force(dl)
+
+    on the whole linspace(0, squeeze) grid at `step`, the nodes where it is
+    exactly zero, and 60 bisection steps per strict sign change.  Returns
+    the sorted (d_left, d_right) pairs."""
+    def balance(dl: float) -> float:
+        f = force(dl)
+        return force(max(0.0, squeeze - dl - f / stiffness)) - f
+
+    n = max(3, int(squeeze / step) + 2)
+    dl = np.linspace(0.0, squeeze, n)
+    f_dl = force(dl)
+    h = force(np.maximum(squeeze - dl - f_dl / stiffness, 0.0)) - f_dl
+    found = dl[h == 0.0].tolist()
+    for i in np.nonzero(h[:-1] * h[1:] < 0.0)[0]:
+        lo, hi, flo = float(dl[i]), float(dl[i + 1]), float(h[i])
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            fm = balance(mid)
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if (flo < 0) == (fm < 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        found.append(0.5 * (lo + hi))
+    found.sort()
+    return [(d, max(0.0, squeeze - d - force(d) / stiffness)) for d in found]
 
 
 def symmetric_depth(force, stiffness, squeeze):

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from cavs_sim import cli
 from cavs_sim.cli import main
 from cavs_sim.friction import (ContactState, Direction, FrictionParams,
                                max_resistible_force, pressing_force)
@@ -165,6 +166,21 @@ def test_exit_codes_and_single_line_stderr(argv, code, prefix, capsys, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(prefix)
     assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_memory_error_exits_2_with_one_line(capsys, tmp_path, monkeypatch):
+    # a request the caps let through can still exhaust memory; it must end
+    # like any refused request, not with a traceback
+    monkeypatch.chdir(tmp_path)
+
+    def exhausted(cfg, args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_anisotropy", exhausted)
+    assert main(["anisotropy", "--out", "table.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
 
 

@@ -8,7 +8,10 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cavs_sim import plant
 from cavs_sim.config import parse_scenario
 from cavs_sim.control import ControllerConfig
 from cavs_sim.friction import (ContactState, Direction, FrictionParams,
@@ -19,7 +22,7 @@ from cavs_sim.plant import (CSV_COLUMNS, Disturbance, NoContact, ObjectModel, Pl
                             equilibrium_solve, make_world, no_contact_state,
                             records_to_csv, run_scenario, scenario_step, slide_check)
 from cavs_sim.sensing import CameraModel, red_area_ratio
-from oracles import equilibria_scan
+from oracles import equilibria_grid_bisection, equilibria_scan
 
 GEOM = CavsGeometry()
 FRIC = FrictionParams()
@@ -113,6 +116,65 @@ def test_equidistant_tie_breaks_toward_smaller_left():
     assert st.d_left < st.d_right
     assert st.d_left == pytest.approx(1.222803, abs=1e-4)
     assert st.d_right == pytest.approx(2.542803, abs=1e-4)
+
+
+def _roots(obj, gap):
+    """The root list equilibrium_solve enumerates at this gap."""
+    memo = {}
+    equilibrium_solve(FRIC, obj, gap / 2, gap / 2, d_sc=GEOM.d_sc, memo=memo)
+    (roots,) = memo.values()
+    return roots
+
+
+@pytest.mark.parametrize("obj,gaps", [
+    # perfbench's soft sweep (gaps 12-17 mm) moved off its 0.05 mm grid
+    (SOFT, np.arange(12.0137, 17.0, 0.05)),
+    (OBJ, np.arange(0.0137, 8.0, 0.05)),
+], ids=["soft", "default"])
+def test_enumeration_matches_the_grid_bisection_reference(obj, gaps):
+    # the scan cut at the clamp point and the secant refinement find the
+    # same roots as the full scan with 60 bisection steps per bracket
+    for gap in gaps:
+        gap = float(gap)
+        roots = _roots(obj, gap)
+        ref = equilibria_grid_bisection(_force, obj.stiffness, obj.nominal_width - gap)
+        assert len(roots) == len(ref), gap
+        assert np.max(np.abs(np.subtract(roots, ref)), initial=0.0) <= 1e-12, gap
+
+
+@given(x1=st.floats(0.1, 5.0), band=st.floats(0.05, 5.0), f_min=st.floats(0.05, 3.0),
+       f_rise=st.floats(0.01, 3.0), tail=st.floats(0.05, 3.0),
+       k=st.floats(0.01, 100.0), squeeze=st.floats(1e-3, 40.0))
+@settings(max_examples=150, deadline=None)
+def test_no_root_past_the_scan_cut(x1, band, f_min, f_rise, tail, k, squeeze):
+    # past the cut the closure clamps d_right to zero, so every grid node
+    # the scan drops has a negative residual and no bracket is lost
+    fric = FrictionParams(d_LC_end=x1, d_SC_start=x1 + band,
+                          f_local_max=f_min + f_rise, f_local_min=f_min)
+    curve = press_curve(fric, x1 + band + tail)
+    dl = np.linspace(0.0, squeeze, max(3, int(squeeze / 1e-3) + 2))
+    dl = dl[dl > plant._scan_cut(curve, k, squeeze)]
+    f = pressing_force(curve, dl)
+    d_right = squeeze - dl - f / k
+    assert np.all(d_right <= 1e-12 * squeeze)  # zero or below, up to rounding
+    h = pressing_force(curve, np.maximum(d_right, 0.0)) - f
+    assert np.all(h < 0.0)
+
+
+@pytest.mark.parametrize("gap", [16.0, 15.3, 15.0, 14.3, 14.0, 13.0])
+def test_soft_solve_spends_few_force_calls_per_root(gap, monkeypatch):
+    # the secant refinement takes 12-14 press-force evaluations per root at
+    # these gaps and 60-step bisection took 121; 30 leaves room but not for that
+    calls = []
+    real = plant.press_force_scalar
+
+    def counted(curve, x):
+        calls.append(x)
+        return real(curve, x)
+
+    monkeypatch.setattr(plant, "press_force_scalar", counted)
+    roots = _roots(SOFT, gap)
+    assert len(calls) <= 30 * len(roots)
 
 
 @pytest.mark.xfail(strict=True, reason="known defect: roots closer together than the "
