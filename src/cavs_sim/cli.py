@@ -18,7 +18,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -27,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Config, ConfigError, Scenario, load_config, load_scenario, parse_scenario
+from .config import MAX_MAGNITUDE, Config, ConfigError, Scenario, load_config, load_scenario, \
+    parse_scenario
 from .friction import ContactState, Direction, classify_contact_state, ecmsf, \
     max_resistible_force, press_curve, pressing_force
 from .kinematics import CavsGeometry, GeometryInfeasible, SolverFailure, deformation_limits, \
@@ -246,8 +246,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         for name, val in vars(args).items():
-            if isinstance(val, float) and not math.isfinite(val):
-                raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {val!r}")
+            if isinstance(val, float) and not abs(val) <= MAX_MAGNITUDE:  # NaN fails too
+                raise ConfigError(f"--{name.replace('_', '-')} must be finite and within "
+                                  f"+/-{MAX_MAGNITUDE:g}, got {val!r}")
         cfg = load_config(args.config)
         if args.seed is not None:
             if args.seed < 0:

@@ -38,6 +38,14 @@ class Config:
     seed: int = 0
 
 
+# bound on the magnitude of every real number in a config document, of a
+# disturbance's magnitude and the initial gap in a scenario, and of every
+# float flag (mm, N, N/mm, px, ratios and percent alike): far beyond the
+# fingertip's scale, and far from where the models' products overflow;
+# scenario times are bounded by the tick cap instead
+MAX_MAGNITUDE = 1e3
+_MAX_IMAGE_PX = 4096  # per side; a 4096 x 4096 RGB frame is 48 MiB
+
 _GEOMETRY_KEYS = ("l1", "l2", "l3", "l_r", "p_ax", "p_ay", "p_cx0", "p_ex0", "p_ey0", "d_sc")
 _CAMERA_KEYS = ("focal_px", "image_width_px", "image_height_px", "noise_std_pct")
 _FRICTION_KEYS = ("d_LC_end", "d_SC_start", "f_local_max", "f_local_min", "mu", "adhesion")
@@ -57,9 +65,9 @@ def _reject_unknown(data: dict, allowed: tuple[str, ...], where: str) -> None:
         raise ConfigError(f"unknown key(s) {', '.join(unknown)} in {where}")
 
 
-def _number(val, where: str) -> float:
-    """A finite float; json.loads accepts NaN and Infinity, so they are
-    rejected here."""
+def _number(val, where: str, limit: float = math.inf) -> float:
+    """A finite float no further than limit from 0; json.loads accepts NaN
+    and Infinity, so they are rejected here."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where} must be a number, got {val!r}")
     try:
@@ -68,6 +76,8 @@ def _number(val, where: str) -> float:
         num = math.inf
     if not math.isfinite(num):
         raise ConfigError(f"{where} must be finite, got {num!r}")
+    if abs(num) > limit:
+        raise ConfigError(f"{where} must lie within +/-{limit:g}, got {num:g}")
     return num
 
 
@@ -84,7 +94,7 @@ def _coeff_table(data, where: str) -> dict:
             if dir_name not in row:
                 raise ConfigError(f"{where}.{state_name} missing {dir_name}")
             table[(ContactState[state_name], Direction[dir_name])] = _number(
-                row[dir_name], f"{where}.{state_name}.{dir_name}")
+                row[dir_name], f"{where}.{state_name}.{dir_name}", MAX_MAGNITUDE)
     return table
 
 
@@ -95,9 +105,14 @@ def _build(section: dict, keys: tuple[str, ...], where: str, ctor, **extra):
         if key in section and key not in kwargs:
             kwargs[key] = _number(section[key], f"{where}.{key}")
     try:
-        return ctor(**kwargs)
+        built = ctor(**kwargs)
     except (ValueError, GeometryInfeasible) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    # after the model's own range checks, so theirs speak first
+    for key, val in kwargs.items():
+        if isinstance(val, float):
+            _number(val, f"{where}.{key}", MAX_MAGNITUDE)
+    return built
 
 
 def parse_config(data: dict) -> Config:
@@ -115,6 +130,9 @@ def parse_config(data: dict) -> Config:
             val = cam_section[key]
             if isinstance(val, bool) or not isinstance(val, int):
                 raise ConfigError(f"camera.{key} must be an integer")
+            if val > _MAX_IMAGE_PX:
+                raise ConfigError(f"camera.{key} must be at most {_MAX_IMAGE_PX:,} px, "
+                                  f"got {val:,}")
             pixels[key] = val
     camera = _build(cam_section, _CAMERA_KEYS, "camera", CameraModel, **pixels)
 
@@ -191,17 +209,15 @@ def parse_scenario(data: dict) -> Scenario:
         if raw.get("disturbance") is not None:
             draw = _require_mapping(raw["disturbance"], f"{where}.disturbance")
             _reject_unknown(draw, _DISTURBANCE_KEYS, f"{where}.disturbance")
+            magnitude = _number(draw.get("magnitude", 0), f"{where}.disturbance.magnitude",
+                                MAX_MAGNITUDE)
+            t_offset = _number(draw.get("t_offset_s", 0.0), f"{where}.disturbance.t_offset_s")
+            length = (None if draw.get("duration_s") is None
+                      else _number(draw["duration_s"], f"{where}.disturbance.duration_s"))
             try:
-                disturbance = Disturbance(
-                    finger=draw.get("finger", ""),
-                    kind=draw.get("kind", ""),
-                    magnitude=_number(draw.get("magnitude", 0), f"{where}.disturbance.magnitude"),
-                    t_offset_s=_number(draw.get("t_offset_s", 0.0),
-                                       f"{where}.disturbance.t_offset_s"),
-                    duration_s=(None if draw.get("duration_s") is None
-                                else _number(draw["duration_s"],
-                                             f"{where}.disturbance.duration_s")),
-                )
+                disturbance = Disturbance(finger=draw.get("finger", ""), kind=draw.get("kind", ""),
+                                          magnitude=magnitude, t_offset_s=t_offset,
+                                          duration_s=length)
             except ValueError as exc:
                 raise ConfigError(f"{where}.disturbance: {exc}") from exc
         try:
@@ -219,7 +235,7 @@ def parse_scenario(data: dict) -> Scenario:
         raise ConfigError(f"scenario runs {n_ticks:,.0f} ticks, more than the limit of "
                           f"{_MAX_SCENARIO_TICKS:,}")
     gap = data.get("initial_gap_mm")
-    gap_val = None if gap is None else _number(gap, "scenario.initial_gap_mm")
+    gap_val = None if gap is None else _number(gap, "scenario.initial_gap_mm", MAX_MAGNITUDE)
     if gap_val is not None and gap_val < 0:
         raise ConfigError("scenario.initial_gap_mm must be >= 0")
     return Scenario(steps=tuple(steps), tick_dt_s=tick_dt, initial_gap_mm=gap_val)

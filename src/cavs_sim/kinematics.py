@@ -38,6 +38,10 @@ THETA1_BOX = (-math.pi, 0.0)
 THETA2_BOX = (0.0, math.pi)
 
 _REST_CAP = 30
+# points per side of the grid whose argmin seeds the rest fit; the basin it
+# picks is part of the rest-pose contract (tests/oracles.py keeps the finer
+# grid this one was checked against)
+_REST_GRID = 100
 _SOLVE_CAP = 100
 _DEPTH_TOL = 1e-12  # mm, well inside the 1e-9 contract
 _SCAN = 0.05  # step of the scans for the branch end and for d_max
@@ -132,13 +136,14 @@ def _rest_residual(geom: CavsGeometry, t1: float, t2: float) -> tuple[float, flo
 
 
 def _fit_rest(geom: CavsGeometry) -> RestPose:
-    """Grid argmin of the rest misfit, then Newton on the normal equations
-    with analytic second derivatives (the misfit at rest is comparable to
-    the link lengths, so Gauss-Newton would drop a term that matters).
+    """Argmin of the rest misfit on a 100 x 100 grid over the angle box,
+    then Newton on the normal equations with analytic second derivatives
+    (the misfit at rest is comparable to the link lengths, so Gauss-Newton
+    would drop a term that matters).
     Raises GeometryInfeasible unless Newton converges to an interior
     minimum."""
-    t1g = np.linspace(THETA1_BOX[0] + 1e-6, THETA1_BOX[1] - 1e-6, 700)
-    t2g = np.linspace(THETA2_BOX[0] + 1e-6, THETA2_BOX[1] - 1e-6, 700)
+    t1g = np.linspace(THETA1_BOX[0] + 1e-6, THETA1_BOX[1] - 1e-6, _REST_GRID)
+    t2g = np.linspace(THETA2_BOX[0] + 1e-6, THETA2_BOX[1] - 1e-6, _REST_GRID)
     T1, T2 = np.meshgrid(t1g, t2g, indexing="ij")
     A = T1 + T2
     ex = geom.p_ax - (geom.l1 * np.sin(T1) + geom.l3 * np.sin(A + SPOKE_HALF_ANGLE))
@@ -343,9 +348,10 @@ def rest_pose(geom: CavsGeometry) -> RestPose:
     """Least-squares root of the three rest endpoint conditions
     {p_Ex = p_ex0, p_Ey = p_ey0, p_Cx = p_cx0} over the angle box.
 
-    The argmin of a 700 x 700 grid over the box (its resolution picks the
-    basin), polished by Newton on the normal equations with analytic
-    derivatives; deterministic for a given geometry.  Raises
+    The argmin of a 100 x 100 grid over the box (its resolution picks the
+    basin; a coarser grid picks another basin on some geometries), polished
+    by Newton on the normal equations with analytic derivatives;
+    deterministic for a given geometry.  Raises
     GeometryInfeasible when the fit does not converge or ends on the box
     edge.
     """

@@ -1,9 +1,10 @@
 """Independent oracles used to cross-check the package.
 
 Everything here recomputes results from scratch: exhaustive / windowed grid
-searches over the joint-angle box, a brute-force equilibrium root scan, the
-plant's earlier grid-and-bisection enumeration as a reference, and a
-hand-rolled symmetric closed-loop simulation.  None of it calls into the
+searches over the joint-angle box, the rest-pose fit on its earlier
+700 x 700 basin grid, a brute-force equilibrium root scan, the plant's
+earlier grid-and-bisection enumeration as a reference, and a hand-rolled
+symmetric closed-loop simulation.  None of it calls into the
 package's Newton solver or plant bracket logic -- where a force or ratio
 curve is needed it is passed in as a plain callable.
 """
@@ -55,6 +56,58 @@ def rest_misfit_grid(geom, step, chunk=512):
         if s[i, j] < best[0]:
             best = (float(s[i, j]), float(t1[i, 0]), float(t2s[j]))
     return best[1], best[2]
+
+
+def rest_fit_grid700(geom):
+    """The package's rest-pose fit as it stood with a 700 x 700 basin grid:
+    the argmin of the three-target misfit on that grid over the angle box
+    (1e-6 in from its edges), then Newton on the normal equations of the
+    misfit with exact second derivatives, at most 30 steps, until a step is
+    below 1e-12 rad.  Returns (t1, t2), or None where that fit raised
+    GeometryInfeasible: Newton did not converge, converged to a saddle or a
+    maximum, or ended within 1e-6 of the box edge."""
+    t1g = np.linspace(BOX_T1[0] + 1e-6, BOX_T1[1] - 1e-6, 700)
+    t2g = np.linspace(BOX_T2[0] + 1e-6, BOX_T2[1] - 1e-6, 700)
+    ex, ey, cx, _, _ = endpoints(geom, t1g[:, None], t2g[None, :])
+    s = (ex - geom.p_ex0) ** 2 + (ey - geom.p_ey0) ** 2 + (cx - geom.p_cx0) ** 2
+    i, j = np.unravel_index(int(np.argmin(s)), s.shape)
+    t1, t2 = float(t1g[i]), float(t2g[j])
+
+    o = math.pi / 6.0
+    for _ in range(30):
+        a = t1 + t2
+        s1, c1 = geom.l1 * math.sin(t1), geom.l1 * math.cos(t1)
+        se, ce = geom.l3 * math.sin(a + o), geom.l3 * math.cos(a + o)
+        sc, cc = geom.l2 * math.sin(a), geom.l2 * math.cos(a)
+        # residuals of (Ex, Ey, Cx), their partials in t1 and t2, and the
+        # second partials (t2 enters only through a, so d2/dt1dt2 = d2/dt2^2)
+        r = (geom.p_ax - (s1 + se) - geom.p_ex0, geom.p_ay + (c1 + ce) - geom.p_ey0,
+             geom.p_ax - (s1 + sc) - geom.p_cx0)
+        j1, j2 = (-(c1 + ce), -(s1 + se), -(c1 + cc)), (-ce, -se, -cc)
+        h11, h22 = (s1 + se, -(c1 + ce), s1 + sc), (se, -ce, sc)
+        g1 = sum(x * y for x, y in zip(j1, r))
+        g2 = sum(x * y for x, y in zip(j2, r))
+        a11 = sum(x * x + y * z for x, y, z in zip(j1, r, h11))
+        a12 = sum(x * w + y * z for x, w, y, z in zip(j1, j2, r, h22))
+        a22 = sum(x * x + y * z for x, y, z in zip(j2, r, h22))
+        det = a11 * a22 - a12 * a12
+        if det == 0.0:
+            return None
+        d1 = (a12 * g2 - a22 * g1) / det
+        d2 = (a12 * g1 - a11 * g2) / det
+        t1 += d1
+        t2 += d2
+        if max(abs(d1), abs(d2)) < 1e-12:
+            break
+    else:
+        return None
+    if not (det > 0.0 and a11 > 0.0):
+        return None
+    margin = 1e-6
+    if (t1 - BOX_T1[0] < margin or BOX_T1[1] - t1 < margin
+            or t2 - BOX_T2[0] < margin or BOX_T2[1] - t2 < margin):
+        return None
+    return t1, t2
 
 
 def solve_misfit_grid(geom, ey_target, cx_target, step, chunk=512, window=None):

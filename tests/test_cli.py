@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -167,6 +168,44 @@ def test_exit_codes_and_single_line_stderr(argv, code, prefix, capsys, tmp_path,
     assert err.startswith(prefix)
     assert err.count("\n") == 1
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("config,argv", [
+    # overflowed in the rest-fit grid: a RuntimeWarning before the error line
+    ({"geometry": {"l1": 1e300}}, ["solve", "--d", "1"]),
+    # printed inf forces with exit 0
+    (None, ["press-curve", "--d-max", "1e308", "--step", "1e307"]),
+    # overflowed in the equilibrium scan and ran on with exit 0
+    ({"friction": {"f_local_max": 1e300, "f_local_min": 1}}, ["control-demo", "--out", "run.csv"]),
+], ids=["geometry-l1", "press-curve-d-max", "friction-f-local-max"])
+def test_extreme_finite_inputs_exit_2_with_one_line(config, argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "cfg.json"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a warning would be a second stderr line
+        assert main(argv) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "1000" in err
+    assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if config else [])
+
+
+def test_render_refuses_a_huge_camera_before_allocating(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"camera": {"image_width_px": 100_000, "image_height_px": 100_000}}))
+
+    def render(*args):
+        raise AssertionError("a 100,000 x 100,000 frame reached the renderer")
+
+    monkeypatch.setattr(cli, "render_synthetic_frame", render)
+    assert main(["render", "--d", "1", "--config", "cfg.json", "--out", "frame.ppm"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: camera.image_width_px") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_memory_error_exits_2_with_one_line(capsys, tmp_path, monkeypatch):

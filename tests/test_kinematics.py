@@ -18,7 +18,8 @@ from cavs_sim.kinematics import (
     rest_pose,
     solve_joint_angles,
 )
-from oracles import compass, endpoints, endpoints_complex, rest_misfit_grid, solve_misfit_grid
+from oracles import compass, endpoints, endpoints_complex, rest_fit_grid700, rest_misfit_grid, \
+    solve_misfit_grid
 
 GEOM = CavsGeometry()
 
@@ -69,6 +70,54 @@ def test_rest_residual_is_the_least_squares_compromise():
 # edge of the box, so it has no interior rest pose.
 EDGE_GEOM = CavsGeometry(l1=4.128216496360151, l2=5.618048704695848, l3=5.113773560113439,
                          p_ay=2.4300061029623428, d_sc=3.716757519350165)
+
+
+# Where a 60 x 60 (or 40 or 25) basin grid picks a basin with an interior
+# minimum at (-1.03883, 0.35566) but the 700 x 700 grid, and so the 100 x 100
+# one, picks a basin whose fit is infeasible.
+COARSE_GRID_GEOM = CavsGeometry(l1=4.975252231918699, l2=5.055633082161192, l3=4.898534979665468,
+                                p_ax=-4.711772764144323, p_ay=2.6991550019754196,
+                                p_ex0=2.5431640149871626, p_ey0=9.718536956670164)
+
+
+def _rest_fit_corpus():
+    """Named geometries for the rest-fit contract: fixed cases, draws like
+    perfbench's geometry_calibration (p_ay, l2 and d_sc moved by up to
+    0.1 mm), and draws with seven anchors and lengths scaled by up to 15%
+    (COARSE_GRID_GEOM is the 119th of the latter)."""
+    cases = [("default", GEOM), ("l2=5.5", CavsGeometry(l2=5.5)),
+             ("p_ay=-20", CavsGeometry(p_ay=-20.0)), ("edge", EDGE_GEOM),
+             ("coarse-grid", COARSE_GRID_GEOM)]
+    rng = np.random.default_rng(1)
+    for k in range(12):
+        moved = {name: getattr(GEOM, name) + float(rng.uniform(-0.1, 0.1))
+                 for name in ("p_ay", "l2", "d_sc")}
+        cases.append((f"calibration-{k}", CavsGeometry(**moved)))
+    rng = np.random.default_rng(99)
+    for k in range(24):
+        factors = rng.uniform(0.85, 1.15, 7)
+        scaled = {name: getattr(GEOM, name) * float(f) for name, f in
+                  zip(("l1", "l2", "l3", "p_ay", "p_ax", "p_ex0", "p_ey0"), factors)}
+        cases.append((f"scaled-{k}", CavsGeometry(**scaled)))
+    return cases
+
+
+REST_FIT_CORPUS = _rest_fit_corpus()
+
+
+@pytest.mark.parametrize("geom", [g for _, g in REST_FIT_CORPUS],
+                         ids=[name for name, _ in REST_FIT_CORPUS])
+def test_rest_fit_matches_the_700_grid_reference(geom):
+    # the basin grid picks the basin, so the coarser grid must give the
+    # finer grid's pose, or be infeasible exactly where it is
+    want = rest_fit_grid700(geom)
+    if want is None:
+        with pytest.raises(GeometryInfeasible):
+            rest_pose(geom)
+        return
+    rp = rest_pose(geom)
+    assert abs(rp.theta1 - want[0]) < 1e-12
+    assert abs(rp.theta2 - want[1]) < 1e-12
 
 
 # the default geometry and two with the rest pose moved both ways
