@@ -44,6 +44,11 @@ class Config:
 # fingertip's scale, and far from where the models' products overflow;
 # scenario times are bounded by the tick cap instead
 MAX_MAGNITUDE = 1e3
+# floor on the magnitude of every nonzero number in a config or scenario
+# document: subnormal numbers, and the smallest normal ones, overflow where
+# the models divide by them (a d_LC_end of 2.2e-308 makes the press curve's
+# slope infinite); this leaves the quotients of in-bound values finite
+MIN_MAGNITUDE = 1e-300
 _MAX_IMAGE_PX = 4096  # per side; a 4096 x 4096 RGB frame is 48 MiB
 
 _GEOMETRY_KEYS = ("l1", "l2", "l3", "l_r", "p_ax", "p_ay", "p_cx0", "p_ex0", "p_ey0", "d_sc")
@@ -66,8 +71,9 @@ def _reject_unknown(data: dict, allowed: tuple[str, ...], where: str) -> None:
 
 
 def _number(val, where: str, limit: float = math.inf) -> float:
-    """A finite float no further than limit from 0; json.loads accepts NaN
-    and Infinity, so they are rejected here."""
+    """A finite float no further than limit from 0, and 0 or at least
+    MIN_MAGNITUDE from it; json.loads accepts NaN and Infinity, so they are
+    rejected here."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where} must be a number, got {val!r}")
     try:
@@ -76,6 +82,9 @@ def _number(val, where: str, limit: float = math.inf) -> float:
         num = math.inf
     if not math.isfinite(num):
         raise ConfigError(f"{where} must be finite, got {num!r}")
+    if 0.0 < abs(num) < MIN_MAGNITUDE:
+        raise ConfigError(f"{where} must be 0 or at least {MIN_MAGNITUDE:g} in magnitude, "
+                          f"got {num!r}")
     if abs(num) > limit:
         raise ConfigError(f"{where} must lie within +/-{limit:g}, got {num:g}")
     return num

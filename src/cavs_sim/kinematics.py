@@ -20,9 +20,10 @@ E0 is slightly out of reach of l1 + l3), so the rest pose is the least-squares
 fit to the three endpoint conditions inside the admissible angle box, and the
 operating constraints above are anchored to the pose actually achieved.
 
-Everything derived from one geometry (rest pose, branch end, d_sc reference
-state, deformation limits) lives in one FingertipModel, built once per
-geometry by fingertip_model.
+Everything derived from one geometry lives in one FingertipModel, built
+once per geometry by fingertip_model: the rest pose, the branch end and the
+d_sc reference state on construction, the deformation limits, found on the
+branch parameter, on first use.
 """
 from __future__ import annotations
 
@@ -44,11 +45,15 @@ _REST_CAP = 30
 _REST_GRID = 100
 _SOLVE_CAP = 100
 _DEPTH_TOL = 1e-12  # mm, well inside the 1e-9 contract
-_SCAN = 0.05  # step of the scans for the branch end and for d_max
+_SCAN = 0.05  # step in q of the scans for the branch end and for d_max
+# cos(pi/6) = sin(pi/3); sin(pi/6) = cos(pi/3) = 1/2 (the spoke offset, and
+# the pi/3 in gamma)
+_COS_SPOKE = math.sqrt(3.0) / 2.0
 
 
 class GeometryInfeasible(ValueError):
-    """Geometry cannot produce a rest configuration."""
+    """Geometry cannot produce a rest configuration, or no usable sensing
+    reference at d_sc."""
 
 
 class SolverFailure(RuntimeError):
@@ -203,6 +208,12 @@ def _joint_state(geom: CavsGeometry, pose: RestPose, theta1: float, theta2: floa
     )
 
 
+def _in_view(state: JointState) -> bool:
+    """The sensing bounds: the strip faces the camera (cos(gamma) >= 0)
+    and its end is in front of it (p_Dy > 0)."""
+    return math.cos(state.gamma) >= 0.0 and state.p_D[1] > 0.0
+
+
 def _last_true(pred, x: float, step: float) -> float:
     """The last point where pred holds, scanning from x (where it holds) in
     steps of step to the first point where it fails, then bisecting that
@@ -223,19 +234,25 @@ class FingertipModel:
     """What kinematics derives from one geometry, each part built once.
 
     The rest pose is fitted on construction (GeometryInfeasible when there
-    is none), and so is the end of the followed branch.  The branch is
-    parametrized by the height of C on the rail.  That height moves one way
-    along the branch, at a rate proportional to sin(theta2), as long as
-    theta2 stays inside (0, pi); given it, the chain A-B-C has one pose with
-    theta2 in that box, and the apex depth d follows from the pose.  The
-    parameter is q = sqrt(w_edge - w), where w is C's height above A, signed
-    so that pressing raises it, and w_edge is where C runs out of reach
-    (theta2 = 0 or pi); the square root keeps d(q) smooth up to that edge.
-    d grows as q falls from the rest pose to the branch end, where d stops
-    growing, theta2 reaches the edge of its box or theta1 leaves its box.
-    The d_sc reference state and the deformation limits are computed on
-    first use, so a rest pose that breaks the sensing bounds still solves;
-    threads that race there compute the same values.
+    is none, or when it lies at the edge of C's reach), and so are the end
+    of the followed branch and, when d_sc lies on the branch, the d_sc
+    reference state.  The branch is parametrized by the height of C on the
+    rail.  That height moves one way along the branch, at a rate
+    proportional to sin(theta2), as long as theta2 stays inside (0, pi);
+    given it, the chain A-B-C has one pose with theta2 in that box, and the
+    apex depth d follows from the pose.  The parameter is
+    q = sqrt(w_edge - w), where w is C's height above A, signed so that
+    pressing raises it, and w_edge is where C runs out of reach (theta2 = 0
+    or pi); the square root keeps d(q) smooth up to that edge.  d grows as
+    q falls from the rest pose to the branch end, where d stops growing,
+    theta2 reaches the edge of its box or theta1 leaves its box.
+
+    Every solve after the d_sc state starts Newton from one seed fixed on
+    construction, the cubic Hermite inverse of d(q) through the rest pose
+    and the d_sc state, so a solve is a pure function of (geometry, d).
+    The deformation limits are found on q on first use, so a rest pose that
+    breaks the sensing bounds still solves; threads that race there compute
+    the same values.
     """
 
     def __init__(self, geom: CavsGeometry) -> None:
@@ -255,85 +272,158 @@ class FingertipModel:
             self._w_edge = -math.sqrt(inner)
         else:
             self._w_edge = math.sqrt((geom.l1 + geom.l2) ** 2 - self._u ** 2)
+        if not self._w_edge - w_rest > 0.0:
+            raise GeometryInfeasible("the rest pose lies at the edge of the rail joint's reach")
         self._q_rest = math.sqrt(self._w_edge - w_rest)
 
         def on_branch(q: float) -> bool:
             b = self._branch(q)
-            return b is not None and b[3] < 0.0 and THETA1_BOX[0] < b[0] < THETA1_BOX[1]
+            return b is not None and b[1] < 0.0 and THETA1_BOX[0] < math.atan2(b[2], b[3]) < THETA1_BOX[1]
 
         self._q_end = _last_true(on_branch, self._q_rest, -_SCAN)
-        self._d_end = self._branch(self._q_end)[2]
-        self._reference: JointState | None = None
+        self._d_end = self._branch(self._q_end)[0]
         self._limits: tuple[float, float] | None = None
+        # (q, branch point) at d_sc; solved from the rest pose, since the
+        # seed of every later solve is built from it, as are the seed's
+        # slopes dq/dd at the rest pose and at d_sc
+        self._sc: tuple[float, tuple] | None = None
+        if geom.d_sc <= self._d_end:
+            self._sc = self._invert(geom.d_sc)
+            self._m_rest = 1.0 / self._branch(self._q_rest)[1]
+            self._m_sc = 1.0 / self._sc[1][1]
 
-    def _branch(self, q: float) -> tuple[float, float, float, float] | None:
-        """(theta1, theta2, d, dd/dq) at branch parameter q, or None where C
-        is out of reach or theta2 is on the edge of its box."""
+    def _branch(self, q: float) -> tuple | None:
+        """(d, dd/dq, sin theta1, cos theta1, sin theta2, cos theta2,
+        sin a, cos a) at branch parameter q, a = theta1 + theta2, or None
+        where C is out of reach or theta2 is on the edge of its box.
+
+        No angle is formed.  theta1 = phi - psi, where phi is the direction
+        of AC and psi that of l1 + l2 e^(i theta2) in the frame of link l1;
+        both vectors are AC, so their sines and cosines share the
+        hypotenuse |AC| and theta1's follow from products over |AC|^2."""
         geom = self.geom
-        two_l1l2 = 2.0 * geom.l1 * geom.l2
+        l1, l2, u = geom.l1, geom.l2, self._u
         w = self._w_edge - q * q
         # (w_edge^2 - w^2) / (2 l1 l2), exact in q near the edge: it is
         # 1 - cos(theta2) at the outer edge and -(1 + cos(theta2)) at the inner
-        gap = q * q * (self._w_edge + w) / two_l1l2
+        gap = q * q * (self._w_edge + w) / (2.0 * l1 * l2)
         lo, hi = (gap, 2.0 - gap) if self._w_edge > 0.0 else (2.0 + gap, -gap)
         if not (lo > 0.0 and hi > 0.0):
             return None
-        t2 = 2.0 * math.atan2(math.sqrt(lo), math.sqrt(hi))
         s2, c2 = math.sqrt(lo * hi), 1.0 - lo
-        t1 = math.atan2(-self._u, self._dir * w) - math.atan2(geom.l2 * s2, geom.l1 + geom.l2 * c2)
-        a = t1 + t2
-        s1, co1 = math.sin(t1), math.cos(t1)
-        ey = geom.p_ay + (geom.l1 * co1 + geom.l3 * math.cos(a + SPOKE_HALF_ANGLE))
+        y, x, z = self._dir * w, l1 + l2 * c2, l2 * s2
+        r2 = u * u + w * w
+        s1, c1 = -(u * x + y * z) / r2, (y * x - u * z) / r2
+        sa, ca = s1 * c2 + c1 * s2, c1 * c2 - s1 * s2
+        # cos and sin of a + pi/6, the apex spoke
+        ce, se = ca * _COS_SPOKE - 0.5 * sa, sa * _COS_SPOKE + 0.5 * ca
+        ey = geom.p_ay + (l1 * c1 + geom.l3 * ce)
         # d = p_ey0_eff - Ey, y = p_ay + dir * w and dy/dq = -2 q dir
-        dd_dy = (s1 * math.cos(a) - geom.l3 / geom.l2 * math.sin(a + SPOKE_HALF_ANGLE) * co1) / s2
-        return t1, t2, self.rest.p_ey0_eff - ey, -2.0 * self._dir * q * dd_dy
+        dd_dy = (s1 * ca - geom.l3 / l2 * se * c1) / s2
+        return self.rest.p_ey0_eff - ey, -2.0 * self._dir * q * dd_dy, s1, c1, s2, c2, sa, ca
 
-    def solve(self, d: float) -> JointState:
-        """See solve_joint_angles."""
+    def _strip(self, b: tuple) -> tuple[float, float]:
+        """(p_Dy, cos gamma) at branch point b: how far the strip end lies
+        in front of the camera plane, and the cosine of gamma = a + pi/3."""
+        sa, ca = b[6], b[7]
+        p_dy = self.geom.p_ay + (self.geom.l1 * b[3] + self.geom.l3 * (ca * _COS_SPOKE + 0.5 * sa))
+        return p_dy, 0.5 * ca - _COS_SPOKE * sa
+
+    def _pose(self, b: tuple) -> JointState:
+        return _joint_state(self.geom, self.rest, math.atan2(b[2], b[3]), math.atan2(b[4], b[5]))
+
+    def _seed(self, d: float) -> float:
+        """Where Newton starts for depth d: the cubic Hermite inverse of
+        d(q) through (0, q_rest) and (d_sc, q_sc) with the branch's
+        slopes there, extended linearly past d_sc; the rest pose before
+        the d_sc state exists."""
+        if self._sc is None:
+            return self._q_rest
+        q_sc, d_sc = self._sc[0], self.geom.d_sc
+        if d >= d_sc:
+            return q_sc + (d - d_sc) * self._m_sc
+        t = d / d_sc
+        s = 1.0 - t
+        return ((self._q_rest * (1.0 + 2.0 * t) + d * self._m_rest) * s * s
+                + (q_sc * (3.0 - 2.0 * t) - (d_sc - d) * self._m_sc) * t * t)
+
+    def _invert(self, d: float) -> tuple[float, tuple]:
+        """(q, branch point) where the depth is within 1e-12 mm of d."""
         if not math.isfinite(d) or d < 0.0:
             raise ValueError(f"deformation must be finite and >= 0, got {d!r}")
         if d > self._d_end:
             raise SolverFailure(f"d={d:g} is past the branch end at {self._d_end:g} mm")
-        # Newton on d(q) = d from the rest pose, bisecting the bracket
-        # (deep, shallow) whenever a step leaves it
+        # Newton on d(q) = d from the seed, or from the rest pose when the
+        # seed is not strictly inside the bracket (deep, shallow); bisect
+        # the bracket whenever a step leaves it
         deep, shallow = self._q_end, self._q_rest
-        q = shallow
+        q = self._seed(d)
+        if not deep < q < shallow:
+            q = shallow
         for _ in range(_SOLVE_CAP):
-            t1, t2, depth, slope = self._branch(q)
-            f = depth - d
+            b = self._branch(q)
+            f = b[0] - d
             if abs(f) <= _DEPTH_TOL:
-                return _joint_state(self.geom, self.rest, t1, t2)
+                return q, b
             if f > 0.0:
                 deep = q
             else:
                 shallow = q
-            q -= f / slope
+            q -= f / b[1]
             if not (q - deep) * (q - shallow) < 0.0:
                 q = 0.5 * (deep + shallow)
         raise SolverFailure(f"iteration cap {_SOLVE_CAP} exceeded at d={d:g}")
 
+    def solve(self, d: float) -> JointState:
+        """See solve_joint_angles."""
+        return self._pose(self._invert(d)[1])
+
+    def strip(self, d: float) -> tuple[float, float]:
+        """(p_Dy, cos gamma) at depth d, without forming the pose."""
+        return self._strip(self._invert(d)[1])
+
+    def _reference(self) -> tuple[tuple, tuple[float, float]]:
+        """(branch point, strip) at d_sc."""
+        if self._sc is None:
+            raise GeometryInfeasible(f"d_sc={self.geom.d_sc:g} is past the branch end "
+                                     f"at {self._d_end:g} mm")
+        b = self._sc[1]
+        strip = self._strip(b)
+        if not strip[1] > 0.0:
+            raise GeometryInfeasible(f"the strip is edge-on to the camera at d_sc={self.geom.d_sc:g}")
+        return b, strip
+
     def reference(self) -> JointState:
-        """The state at d = d_sc, the full-contact sensing reference."""
-        if self._reference is None:
-            self._reference = self.solve(self.geom.d_sc)
-        return self._reference
+        """The state at d = d_sc, the full-contact sensing reference.
+        Raises GeometryInfeasible when d_sc is past the branch end or the
+        strip is edge-on to the camera there."""
+        return self._pose(self._reference()[0])
+
+    def reference_strip(self) -> tuple[float, float]:
+        """strip(d_sc), from the same branch point as reference(), and
+        raising where it does."""
+        return self._reference()[1]
 
     def limits(self) -> tuple[float, float]:
         """See deformation_limits."""
         if self._limits is not None:
             return self._limits
 
-        def ok(d: float) -> bool:
-            try:
-                st = self.solve(d)
-            except SolverFailure:
+        def ok(q: float) -> bool:
+            if q < self._q_end:
                 return False
-            return math.cos(st.gamma) >= 0.0 and st.p_D[1] > 0.0
+            p_dy, cos_g = self._strip(self._branch(q))
+            return cos_g >= 0.0 and p_dy > 0.0
 
-        if not ok(0.0):
+        if not ok(self._q_rest):
             raise GeometryInfeasible("rest configuration violates the sensing bounds")
-        # the scan ends by the branch end at the latest, where solve fails
-        self._limits = (0.0, _last_true(ok, 0.0, _SCAN))
+        # the scan ends by the branch end at the latest
+        d_max = max(0.0, self._branch(_last_true(ok, self._q_rest, -_SCAN))[0])
+        # a solve lands within 1e-12 mm of d_max, on either side of the
+        # bound; step back until the pose it returns meets the bounds
+        while d_max > 0.0 and not _in_view(self.solve(d_max)):
+            d_max = max(0.0, d_max - _DEPTH_TOL)
+        self._limits = (0.0, d_max)
         return self._limits
 
 
@@ -369,12 +459,15 @@ def solve_joint_angles(geom: CavsGeometry, d: float) -> JointState:
     """Branch-followed solution of the deformation constraints at depth d.
 
     Inverts the monotone depth of the followed branch as a function of C's
-    height on the rail (see FingertipModel) by Newton steps from the rest
-    pose, bisecting whenever a step leaves the bracket between the rest pose
-    and the branch end, until the depth residual is below 1e-12 mm.  The
-    rail constraint holds by construction.  Raises SolverFailure for d past
-    the branch end (9.57 mm on the default geometry, where theta2 reaches 0;
-    beyond its d_max).
+    height on the rail (see FingertipModel) by Newton steps, bisecting
+    whenever a step leaves the bracket between the rest pose and the branch
+    end, until the depth residual is below 1e-12 mm.  Newton starts from a
+    seed fixed when the model is built (the cubic Hermite inverse through
+    the rest pose and the d_sc state), so the result depends on (geom, d)
+    alone, not on earlier solves; the steps form no angle, and atan2 runs
+    once, for the returned pose.  The rail constraint holds by
+    construction.  Raises SolverFailure for d past the branch end (9.57 mm
+    on the default geometry, where theta2 reaches 0; beyond its d_max).
     """
     return fingertip_model(geom).solve(d)
 
@@ -390,8 +483,11 @@ def deformation_limits(geom: CavsGeometry) -> tuple[float, float]:
 
     d_min = 0.  d_max is the largest depth at which the branch still solves
     with cos(gamma) >= 0 and the strip end stays in front of the camera
-    (p_Dy > 0, the sensing validity bound) -- found by an upward 0.05 mm
-    scan and one bisection, so solve_joint_angles(geom, d_max) meets the
-    bounds.
+    (p_Dy > 0, the sensing validity bound).  It is found on the branch
+    parameter, one branch evaluation per point: a 0.05 scan in q from the
+    rest pose to the branch end and one bisection.  One
+    solve_joint_angles(geom, d_max) then confirms the bounds on the pose
+    it returns, and d_max steps back by 1e-12 mm until they hold there.
+    Raises GeometryInfeasible when the rest pose breaks the bounds.
     """
     return fingertip_model(geom).limits()

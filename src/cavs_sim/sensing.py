@@ -14,13 +14,12 @@ stay in view.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kinematics import CavsGeometry, JointState, fingertip_model, projected_width_wx, \
-    solve_joint_angles
+from .kinematics import CavsGeometry, GeometryInfeasible, JointState, fingertip_model, \
+    projected_width_wx, solve_joint_angles
 
 
 class BehindCamera(ValueError):
@@ -69,10 +68,15 @@ def calibrate_sc_reference(cam: CameraModel, geom: CavsGeometry) -> CameraModel:
     """Camera with w_SCimg set to the projected width at d = d_sc.
 
     Idempotent: recalibrating an already-calibrated camera sets the same
-    reference, the geometry's d_sc state from its FingertipModel.
+    reference, the geometry's d_sc state, which its FingertipModel builds
+    on construction.  Raises GeometryInfeasible when d_sc is past the
+    branch end or the strip shows no width there, BehindCamera when its
+    end is not in front of the camera.
     """
-    state = fingertip_model(geom).reference()
-    return replace(cam, w_SCimg=image_width_wimg(cam, state, geom))
+    w = image_width_wimg(cam, fingertip_model(geom).reference(), geom)
+    if not w > 0.0:
+        raise GeometryInfeasible(f"the strip shows no width in the image at d_sc={geom.d_sc:g}")
+    return replace(cam, w_SCimg=w)
 
 
 def red_area_ratio(cam: CameraModel, geom: CavsGeometry, d: float) -> float:
@@ -80,18 +84,20 @@ def red_area_ratio(cam: CameraModel, geom: CavsGeometry, d: float) -> float:
 
     Evaluated in cancelled form, (p_Dy(d_sc) * cos gamma(d)) /
     (p_Dy(d) * cos gamma(d_sc)), so the result is bit-for-bit independent
-    of focal_px and l_r.  The calibrated reference gates the workflow and
-    scales the pixel detector; it does not enter this quotient.
+    of focal_px and l_r.  The four values are the only ones read from the
+    FingertipModel, no pose is formed, and both pairs come from the same
+    path, so the ratio at d_sc is exactly 1.0.  The calibrated reference
+    gates the workflow and scales the pixel detector; it does not enter
+    this quotient.
     """
     if cam.w_SCimg is None:
         raise NotCalibrated("red_area_ratio requires a calibrated camera")
-    state = solve_joint_angles(geom, d)
-    ref = fingertip_model(geom).reference()
-    if state.p_D[1] <= 0:
-        raise BehindCamera(f"strip end depth {state.p_D[1]:g} mm at d={d:g}")
-    num = ref.p_D[1] * max(0.0, math.cos(state.gamma))
-    den = state.p_D[1] * max(0.0, math.cos(ref.gamma))
-    return num / den
+    model = fingertip_model(geom)
+    p_dy, cos_g = model.strip(d)
+    if p_dy <= 0:
+        raise BehindCamera(f"strip end depth {p_dy:g} mm at d={d:g}")
+    p_dy_sc, cos_g_sc = model.reference_strip()
+    return (p_dy_sc * max(0.0, cos_g)) / (p_dy * cos_g_sc)
 
 
 def reported_ratio(cam: CameraModel, geom: CavsGeometry, d: float,

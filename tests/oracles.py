@@ -2,7 +2,9 @@
 
 Everything here recomputes results from scratch: exhaustive / windowed grid
 searches over the joint-angle box, the rest-pose fit on its earlier
-700 x 700 basin grid, a brute-force equilibrium root scan, the plant's
+700 x 700 basin grid, the branch inversion from the rest pose and its
+depth-scan deformation limit as they stood before the seeded solve, a
+brute-force equilibrium root scan, the plant's
 earlier grid-and-bisection enumeration as a reference, and a hand-rolled
 symmetric closed-loop simulation.  None of it calls into the
 package's Newton solver or plant bracket logic -- where a force or ratio
@@ -108,6 +110,111 @@ def rest_fit_grid700(geom):
             or t2 - BOX_T2[0] < margin or BOX_T2[1] - t2 < margin):
         return None
     return t1, t2
+
+
+class BranchFromRest:
+    """The package's branch inversion as it stood before its Newton seed
+    and its limit scan on the branch parameter: Newton from the rest pose
+    on the monotone depth d(q) of the followed branch, with q the square
+    root of the distance of the rail joint C from the edge of its reach
+    (see kinematics.FingertipModel), kept inside a bisection bracket, to a
+    1e-12 mm depth residual; the angles come from atan2 at every step.
+    The branch end is a scan in q in steps of 0.05 and a 60-step
+    bisection; d_max is a 0.05 mm scan in depth and a 60-step bisection,
+    one full solve per point.  `rest` is (theta1, theta2, p_ey0_eff, p_cx0_eff) of the rest
+    fit, which tests pin on their own."""
+
+    def __init__(self, geom, rest):
+        self.geom = geom
+        t1, t2, self.ey0, cx0 = rest
+        a = t1 + t2
+        o = math.pi / 6.0
+        slope = math.sin(t1) * math.cos(a) - geom.l3 / geom.l2 * math.sin(a + o) * math.cos(t1)
+        self.dir = math.copysign(1.0, slope)
+        self.u = cx0 - geom.p_ax
+        cy = geom.p_ay + (geom.l1 * math.cos(t1) + geom.l2 * math.cos(t1 + (a - t1)))
+        w_rest = self.dir * (cy - geom.p_ay)
+        inner = (geom.l1 - geom.l2) ** 2 - self.u ** 2
+        if w_rest < 0.0 and inner > 0.0:
+            self.w_edge = -math.sqrt(inner)
+        else:
+            self.w_edge = math.sqrt((geom.l1 + geom.l2) ** 2 - self.u ** 2)
+        self.q_rest = math.sqrt(self.w_edge - w_rest)
+
+        def on_branch(q):
+            b = self.branch(q)
+            return b is not None and b[3] < 0.0 and BOX_T1[0] < b[0] < BOX_T1[1]
+
+        self.q_end = _last_true(on_branch, self.q_rest, -0.05)
+        self.d_end = self.branch(self.q_end)[2]
+
+    def branch(self, q):
+        """(theta1, theta2, d, dd/dq), or None off the reach."""
+        geom = self.geom
+        w = self.w_edge - q * q
+        gap = q * q * (self.w_edge + w) / (2.0 * geom.l1 * geom.l2)
+        lo, hi = (gap, 2.0 - gap) if self.w_edge > 0.0 else (2.0 + gap, -gap)
+        if not (lo > 0.0 and hi > 0.0):
+            return None
+        t2 = 2.0 * math.atan2(math.sqrt(lo), math.sqrt(hi))
+        s2, c2 = math.sqrt(lo * hi), 1.0 - lo
+        t1 = math.atan2(-self.u, self.dir * w) - math.atan2(geom.l2 * s2, geom.l1 + geom.l2 * c2)
+        a = t1 + t2
+        o = math.pi / 6.0
+        ey = geom.p_ay + (geom.l1 * math.cos(t1) + geom.l3 * math.cos(a + o))
+        dd_dy = (math.sin(t1) * math.cos(a)
+                 - geom.l3 / geom.l2 * math.sin(a + o) * math.cos(t1)) / s2
+        return t1, t2, self.ey0 - ey, -2.0 * self.dir * q * dd_dy
+
+    def solve(self, d):
+        """(theta1, theta2) at depth d, or None past the branch end."""
+        if d > self.d_end:
+            return None
+        deep, shallow = self.q_end, self.q_rest
+        q = shallow
+        for _ in range(100):
+            t1, t2, depth, slope = self.branch(q)
+            f = depth - d
+            if abs(f) <= 1e-12:
+                return t1, t2
+            if f > 0.0:
+                deep = q
+            else:
+                shallow = q
+            q -= f / slope
+            if not (q - deep) * (q - shallow) < 0.0:
+                q = 0.5 * (deep + shallow)
+        raise AssertionError(f"reference solve did not converge at d={d!r}")
+
+    def in_view(self, d):
+        """The sensing bounds at depth d: the branch solves there, the strip
+        faces the camera and its end is in front of it."""
+        pose = self.solve(d)
+        if pose is None:
+            return False
+        t1, t2 = pose
+        dy = endpoints(self.geom, t1, t2)[4]
+        return math.cos(math.pi / 3.0 + t1 + t2) >= 0.0 and dy > 0.0
+
+    def d_max(self):
+        """The deformation limit, or None where the rest pose breaks the
+        sensing bounds."""
+        if not self.in_view(0.0):
+            return None
+        return _last_true(self.in_view, 0.0, 0.05)
+
+
+def _last_true(pred, x, step):
+    while pred(x + step):
+        x += step
+    off = x + step
+    for _ in range(60):
+        mid = 0.5 * (x + off)
+        if pred(mid):
+            x = mid
+        else:
+            off = mid
+    return x
 
 
 def solve_misfit_grid(geom, ey_target, cx_target, step, chunk=512, window=None):

@@ -193,6 +193,50 @@ def test_extreme_finite_inputs_exit_2_with_one_line(config, argv, capsys, tmp_pa
     assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if config else [])
 
 
+@pytest.mark.parametrize("config,argv,message", [
+    # d_sc past the branch end: solve exited 2, the commands that calibrate
+    # at d_sc first exited 3
+    ({"geometry": {"p_ey0": 1e-300}}, ["ratio-curve"], "past the branch end"),
+    ({"geometry": {"p_ey0": 1e-300}}, ["control-demo", "--out", "run.csv"], "past the branch end"),
+    ({"geometry": {"l1": 1000}}, ["ratio-curve"], "past the branch end"),
+    ({"geometry": {"l1": 1000}}, ["control-demo", "--out", "run.csv"], "past the branch end"),
+    ({"geometry": {"d_sc": 1000}}, ["solve", "--d", "1"], "past the branch end"),
+    ({"geometry": {"d_sc": 1000}}, ["ratio-curve"], "past the branch end"),
+    ({"geometry": {"d_sc": 1000}}, ["control-demo", "--out", "run.csv"], "past the branch end"),
+    # the strip is edge-on at d_sc: a traceback from the camera's check
+    ({"geometry": {"l2": 0.001}}, ["solve", "--d", "1"], "edge-on"),
+    ({"geometry": {"l2": 0.001}}, ["ratio-curve"], "edge-on"),
+    ({"geometry": {"l2": 0.001}}, ["control-demo", "--out", "run.csv"], "edge-on"),
+    # the rest pose at the edge of C's reach: a math domain error
+    ({"geometry": {"l2": 1e-300}}, ["solve", "--d", "1"], "reach"),
+    ({"geometry": {"l2": 1e-300}}, ["ratio-curve"], "reach"),
+    ({"geometry": {"l2": 1e-300}}, ["control-demo", "--out", "run.csv"], "reach"),
+    # a reference width that underflows to 0: the same camera check
+    ({"camera": {"focal_px": 1e-300}, "geometry": {"l_r": 1e-300}}, ["solve", "--d", "1"],
+     "no width"),
+    # subnormal values overflowed in numpy and ran on with exit 0
+    ({"object": {"stiffness": 5e-324}}, ["control-demo", "--out", "run.csv"], "1e-300"),
+    ({"friction": {"d_LC_end": 5e-324}}, ["control-demo", "--out", "run.csv"], "1e-300"),
+    ({"friction": {"d_LC_end": 5e-324}}, ["press-curve"], "1e-300"),
+], ids=["p_ey0-ratio-curve", "p_ey0-control-demo", "l1-ratio-curve", "l1-control-demo",
+        "d_sc-solve", "d_sc-ratio-curve", "d_sc-control-demo",
+        "l2-edge-on-solve", "l2-edge-on-ratio-curve", "l2-edge-on-control-demo",
+        "l2-reach-solve", "l2-reach-ratio-curve", "l2-reach-control-demo", "width-underflow",
+        "stiffness-subnormal", "d_LC_end-subnormal-control-demo", "d_LC_end-subnormal-press-curve"])
+def test_unusable_geometries_and_tiny_values_exit_2_with_one_line(config, argv, message, capsys,
+                                                                   tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a warning would be a second stderr line
+        assert main(argv + ["--config", "cfg.json"]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_render_refuses_a_huge_camera_before_allocating(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps(

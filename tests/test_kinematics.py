@@ -9,6 +9,7 @@ import pytest
 
 from cavs_sim.kinematics import (
     CavsGeometry,
+    FingertipModel,
     GeometryInfeasible,
     JointState,
     SolverFailure,
@@ -18,8 +19,9 @@ from cavs_sim.kinematics import (
     rest_pose,
     solve_joint_angles,
 )
-from oracles import compass, endpoints, endpoints_complex, rest_fit_grid700, rest_misfit_grid, \
-    solve_misfit_grid
+from cavs_sim.sensing import CameraModel, calibrate_sc_reference, red_area_ratio
+from oracles import BranchFromRest, compass, endpoints, endpoints_complex, rest_fit_grid700, \
+    rest_misfit_grid, solve_misfit_grid
 
 GEOM = CavsGeometry()
 
@@ -188,10 +190,14 @@ def test_solve_residuals_and_round_trip(geom):
 # with d, or the l2 link points down at rest (cos(theta1 + theta2) < 0) and
 # the rail passes so close to A that the branch ends where theta2 reaches
 # pi; each branch ends just past the given depth
-@pytest.mark.parametrize("geom, depth", [
-    (CavsGeometry(p_ax=-8.1, p_ay=7.38, p_cx0=-3.29, p_ex0=-2.01, p_ey0=6.12), 3.3),
-    (CavsGeometry(p_ax=0.84, p_ay=6.53, p_cx0=-4.52, p_ex0=6.68, p_ey0=5.76), 1.2),
-], ids=["theta1-rises", "l2-down"])
+OTHER_SHAPES = [
+    ("theta1-rises", CavsGeometry(p_ax=-8.1, p_ay=7.38, p_cx0=-3.29, p_ex0=-2.01, p_ey0=6.12), 3.3),
+    ("l2-down", CavsGeometry(p_ax=0.84, p_ay=6.53, p_cx0=-4.52, p_ex0=6.68, p_ey0=5.76), 1.2),
+]
+
+
+@pytest.mark.parametrize("geom, depth", [(g, depth) for _, g, depth in OTHER_SHAPES],
+                         ids=[name for name, _, _ in OTHER_SHAPES])
 def test_branches_of_other_shapes(geom, depth):
     rp = rest_pose(geom)
     depths = [float(d) for d in np.linspace(0.0, depth, 34)]
@@ -225,6 +231,77 @@ def test_branch_runs_on_where_theta1_turns_back():
     assert solve_joint_angles(LIFTED, d_max).theta2 < 1e-9
     with pytest.raises(SolverFailure):
         solve_joint_angles(LIFTED, d_max + 0.01)
+
+
+# the rest-fit corpus (infeasible ones included), LIFTED, whose limit is the
+# branch end, and the branches of other shapes
+BRANCH_CORPUS = (REST_FIT_CORPUS + [("lifted", LIFTED)]
+                 + [(name, g) for name, g, _ in OTHER_SHAPES])
+
+
+def _in_view(state: JointState) -> bool:
+    return math.cos(state.gamma) >= 0.0 and state.p_D[1] > 0.0
+
+
+@pytest.mark.parametrize("geom", [g for _, g in BRANCH_CORPUS],
+                         ids=[name for name, _ in BRANCH_CORPUS])
+def test_branch_inversion_matches_the_solve_from_rest(geom):
+    # the seeded, angle-free inversion gives the poses of Newton from the
+    # rest pose, and the limit found on q is the depth scan's
+    try:
+        rp = rest_pose(geom)
+    except GeometryInfeasible:
+        with pytest.raises(GeometryInfeasible):
+            deformation_limits(geom)
+        return
+    ref = BranchFromRest(geom, (rp.theta1, rp.theta2, rp.p_ey0_eff, rp.p_cx0_eff))
+    for d in [k * 0.01 for k in range(int(ref.d_end / 0.01) + 1)]:
+        want = ref.solve(d)
+        state = solve_joint_angles(geom, d)
+        # both solves stop within 1e-12 mm of d; in the last 0.1 mm the
+        # branch flattens toward its end, and that spans more angle
+        tol = 1e-12 if d < ref.d_end - 0.1 else 1e-11
+        assert abs(state.theta1 - want[0]) < tol
+        assert abs(state.theta2 - want[1]) < tol
+    want_max = ref.d_max()
+    if want_max is None:
+        with pytest.raises(GeometryInfeasible):
+            deformation_limits(geom)
+        return
+    d_max = deformation_limits(geom)[1]
+    assert abs(d_max - want_max) < 1e-9
+    assert _in_view(solve_joint_angles(geom, d_max))
+    try:
+        assert not _in_view(solve_joint_angles(geom, d_max + 1e-6))
+    except SolverFailure:
+        pass
+    if geom.d_sc <= d_max:
+        cam = calibrate_sc_reference(CameraModel(), geom)
+        assert red_area_ratio(cam, geom, geom.d_sc) == 1.0
+
+
+BUDGET_CORPUS = [(name, g) for name, g in REST_FIT_CORPUS
+                 if name == "default" or name.startswith("calibration-")]
+
+
+@pytest.mark.parametrize("geom", [g for _, g in BUDGET_CORPUS],
+                         ids=[name for name, _ in BUDGET_CORPUS])
+def test_solves_spend_at_most_four_branch_evaluations(geom, monkeypatch):
+    # Newton from the seed, over the 0.01 mm grid a ratio curve solves
+    model = FingertipModel(geom)
+    calls = 0
+    branch = model._branch
+
+    def counted(q):
+        nonlocal calls
+        calls += 1
+        return branch(q)
+
+    monkeypatch.setattr(model, "_branch", counted)
+    depths = np.linspace(0.0, geom.d_sc, round(geom.d_sc / 0.01) + 1)
+    for d in depths:
+        model.solve(float(d))
+    assert calls / len(depths) <= 4.0
 
 
 def test_branch_continuity():
@@ -325,13 +402,23 @@ def test_solves_are_order_and_thread_independent():
     def sweep(geom):
         return [solve_joint_angles(geom, d) for d in depths]
 
+    def ratios(geom):
+        cam = calibrate_sc_reference(CameraModel(), geom)
+        return [red_area_ratio(cam, geom, d) for d in depths]
+
     want = solve_joint_angles(cold, 3.0)
     want_sweep = sweep(cold)
+    want_ratios = ratios(cold)
 
-    # a model that first solved another depth gives the same poses
+    # a model that first calibrated, found its limits, read a ratio and
+    # solved another depth gives the same poses and ratios
+    cam = calibrate_sc_reference(CameraModel(), warmed)
+    deformation_limits(warmed)
+    red_area_ratio(cam, warmed, 2.0)
     solve_joint_angles(warmed, 1.0)
     assert solve_joint_angles(warmed, 3.0) == want
     assert sweep(warmed) == want_sweep
+    assert ratios(warmed) == want_ratios
 
     # concurrent first solves on one model agree with the serial ones and
     # leave its later solves unchanged
@@ -357,3 +444,4 @@ def test_solves_are_order_and_thread_independent():
     assert not any(t.is_alive() for t in threads)
     assert got == [want] * workers
     assert sweep(raced) == want_sweep
+    assert ratios(raced) == want_ratios
