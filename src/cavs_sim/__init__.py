@@ -13,7 +13,7 @@ from .friction import ContactState, Direction, DivisionDomain, FrictionParams, P
     pressing_force
 from .kinematics import CavsGeometry, GeometryInfeasible, JointState, RestPose, SolverFailure, \
     deformation_limits, forward_points, projected_width_wx, rest_pose, solve_joint_angles
-from .plant import Disturbance, GripperWorld, NoContact, ObjectModel, PlantState, \
+from .plant import NO_CONTACT, Disturbance, GripperWorld, ObjectModel, PlantState, \
     ScenarioStep, SlideOutcome, StepSummary, TimeSeriesRecord, default_slide_demand, \
     equilibrium_solve, make_world, records_to_csv, run_scenario, scenario_step, slide_check
 from .sensing import BehindCamera, CameraModel, NotCalibrated, SyntheticFrame, \

@@ -14,9 +14,7 @@ never leaves partial artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -32,7 +30,7 @@ from .friction import ContactState, Direction, classify_contact_state, ecmsf, \
     max_resistible_force, press_curve, pressing_force
 from .kinematics import CavsGeometry, GeometryInfeasible, SolverFailure, deformation_limits, \
     projected_width_wx, solve_joint_angles
-from .plant import StepSummary, _fmt6, make_world, records_to_csv, run_scenario
+from .plant import StepSummary, _csv_text, _fmt6, make_world, records_to_csv, run_scenario
 from .sensing import BehindCamera, NotCalibrated, calibrate_sc_reference, frame_to_ppm, \
     image_width_wimg, red_area_ratio, render_synthetic_frame
 
@@ -59,14 +57,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         _write_atomic(out, text.encode("utf-8"))
-
-
-def _csv_text(header: tuple[str, ...], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 _MAX_GRID_STEPS = 1_000_000

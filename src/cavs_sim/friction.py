@@ -128,16 +128,17 @@ def _interp_coeffs(params: FrictionParams, d: float, direction: Direction) -> tu
 
 def max_resistible_force(params: FrictionParams, state: ContactState,
                          direction: Direction, f_nslip: float) -> float:
-    """f_MAX = mu * f_nslip + adhesion for a pure LC or SC contact.
+    """f_MAX = mu * f_nslip + adhesion for a pure LC or SC contact:
+    max_resistible_force_at on that mode's edge of the transition band,
+    where the blend weight is exactly 0 or 1.
 
     Transition contacts are position-dependent; use
     max_resistible_force_at with the deformation instead.
     """
     if state is ContactState.Transition:
         raise ValueError("Transition coefficients depend on d; use max_resistible_force_at")
-    if f_nslip < 0:
-        raise ValueError(f"f_nslip must be >= 0, got {f_nslip!r}")
-    return params.mu[(state, direction)] * f_nslip + params.adhesion[(state, direction)]
+    edge = params.d_LC_end if state is ContactState.LC else params.d_SC_start
+    return max_resistible_force_at(params, edge, direction, f_nslip)
 
 
 def max_resistible_force_at(params: FrictionParams, d: float,

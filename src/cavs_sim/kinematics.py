@@ -21,7 +21,7 @@ fit to the three endpoint conditions inside the admissible angle box, and the
 operating constraints above are anchored to the pose actually achieved.
 
 Everything derived from one geometry lives in one FingertipModel, built
-once per geometry by fingertip_model: the rest pose, the branch end and the
+and kept by fingertip_model: the rest pose, the branch end and the
 d_sc reference state on construction, the deformation limits, found on the
 branch parameter, on first use.
 """
@@ -427,10 +427,17 @@ class FingertipModel:
         return self._limits
 
 
-@functools.cache
+# models kept by fingertip_model: one per geometry in use, while a process
+# that calibrates many geometries keeps only the recent ones (a model is
+# about 1.5 kB, and rebuilding an evicted one gives the same values)
+_MODEL_CACHE = 256
+
+
+@functools.lru_cache(maxsize=_MODEL_CACHE)
 def fingertip_model(geom: CavsGeometry) -> FingertipModel:
-    """The FingertipModel of a geometry, built on first use.  Threads that
-    miss together may each build one; they hold the same values."""
+    """The FingertipModel of a geometry, built on first use and kept while
+    it is among the _MODEL_CACHE most recently used.  Threads that miss
+    together may each build one; they hold the same values."""
     return FingertipModel(geom)
 
 

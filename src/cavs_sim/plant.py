@@ -43,10 +43,6 @@ from .kinematics import CavsGeometry, SolverFailure, solve_joint_angles
 from .sensing import CameraModel, calibrate_sc_reference, red_area_ratio, reported_ratio
 
 
-class NoContact(Exception):
-    """Gap at or beyond the object width: zero forces, zero deformation."""
-
-
 _SCAN_STEP = 1e-3  # mm, equilibrium enumeration grid
 _MAX_WIDTH = 1000.0  # mm; caps the enumeration at 1,000,000 scan steps
 _REFINE_CAP = 100  # secant steps per bracket, a hard stop; a root takes about 5
@@ -73,15 +69,22 @@ class ObjectModel:
 
 @dataclass(frozen=True)
 class PlantState:
-    finger_pos_left: float
-    finger_pos_right: float
+    """One equilibrium: each finger's deformation and normal force."""
+
     d_left: float
     d_right: float
     f_n_left: float
     f_n_right: float
-    branch_memory: tuple[float, float]
     contact: bool = True
-    snapped: bool = False
+
+    @property
+    def branch_memory(self) -> tuple[float, float]:
+        """The deformations the next solve stays nearest to."""
+        return self.d_left, self.d_right
+
+
+# gap at or beyond the object width: zero forces, zero deformation
+NO_CONTACT = PlantState(0.0, 0.0, 0.0, 0.0, contact=False)
 
 
 @dataclass(frozen=True)
@@ -233,7 +236,7 @@ def _enumerate_equilibria(curve: PressCurve, k: float, squeeze: float) -> _Roots
 
 
 def equilibrium_solve(fric: FrictionParams, obj: ObjectModel,
-                      finger_pos_left: float, finger_pos_right: float,
+                      pos_left: float, pos_right: float,
                       branch_memory: tuple[float, float] = (0.0, 0.0),
                       *, d_sc: float, memo: dict | None = None) -> PlantState:
     """Deformations and normal forces at the current finger positions.
@@ -244,13 +247,13 @@ def equilibrium_solve(fric: FrictionParams, obj: ObjectModel,
     function of (press curve, stiffness, squeeze), and memo maps that key
     to them: they are looked up there first and stored there after.  The
     pick is made from branch_memory either way, so the result is the same.
-    Raises NoContact when the gap meets or exceeds the object width.
+    Returns NO_CONTACT when the gap meets or exceeds the object width.
     """
-    gap = finger_pos_left + finger_pos_right
+    gap = pos_left + pos_right
     if gap < 0:
         raise ValueError(f"total gap must be >= 0, got {gap:g}")
     if gap >= obj.nominal_width:
-        raise NoContact(f"gap {gap:g} mm >= object width {obj.nominal_width:g} mm")
+        return NO_CONTACT
     squeeze = obj.nominal_width - gap
     curve = press_curve(fric, d_sc)
     memo = {} if memo is None else memo
@@ -268,25 +271,8 @@ def equilibrium_solve(fric: FrictionParams, obj: ObjectModel,
         return (round(dist, 9), round(root[0] + root[1], 9), root[0])
 
     d_l, d_r = min(roots, key=rank)
-    f_l = float(pressing_force(curve, d_l))
-    f_r = float(pressing_force(curve, d_r))
-    snapped = math.hypot(d_l - m_l, d_r - m_r) > 1.0 and branch_memory != (0.0, 0.0)
-    return PlantState(
-        finger_pos_left=finger_pos_left,
-        finger_pos_right=finger_pos_right,
-        d_left=d_l,
-        d_right=d_r,
-        f_n_left=f_l,
-        f_n_right=f_r,
-        branch_memory=(d_l, d_r),
-        contact=True,
-        snapped=snapped,
-    )
-
-
-def no_contact_state(finger_pos_left: float, finger_pos_right: float) -> PlantState:
-    return PlantState(finger_pos_left, finger_pos_right, 0.0, 0.0, 0.0, 0.0,
-                      branch_memory=(0.0, 0.0), contact=False)
+    return PlantState(d_l, d_r, float(pressing_force(curve, d_l)),
+                      float(pressing_force(curve, d_r)))
 
 
 def slide_check(fric: FrictionParams, obj: ObjectModel, state: PlantState,
@@ -377,14 +363,11 @@ def make_world(geom: CavsGeometry, cam: CameraModel, fric: FrictionParams,
     pos = gap / 2.0
     demand = obj.slide_demand if obj.slide_demand is not None \
         else default_slide_demand(geom, fric, ctrl)
-    try:
-        plant = equilibrium_solve(fric, obj, pos, pos, (0.0, 0.0), d_sc=geom.d_sc)
-    except NoContact:
-        plant = no_contact_state(pos, pos)
     return GripperWorld(
         geom=geom, cam=cam, fric=fric, ctrl=ctrl, obj=obj,
         slide_demand=demand, pos_left=pos, pos_right=pos,
-        plant=plant, rng=np.random.default_rng(seed),
+        plant=equilibrium_solve(fric, obj, pos, pos, d_sc=geom.d_sc),
+        rng=np.random.default_rng(seed),
     )
 
 
@@ -422,14 +405,11 @@ def scenario_step(world: GripperWorld, step: ScenarioStep,
         world.pos_right = max(0.0, world.pos_right + cmd_r.delta_d_f)
 
         try:
-            plant = equilibrium_solve(world.fric, world.obj, world.pos_left,
-                                      world.pos_right, world.plant.branch_memory,
-                                      d_sc=world.geom.d_sc, memo=world.root_memo)
-        except NoContact:
-            plant = no_contact_state(world.pos_left, world.pos_right)
+            world.plant = plant = equilibrium_solve(
+                world.fric, world.obj, world.pos_left, world.pos_right,
+                world.plant.branch_memory, d_sc=world.geom.d_sc, memo=world.root_memo)
         except SolverFailure as exc:
             raise SolverFailure(f"tick {i} of step {step.name!r}: {exc}") from exc
-        world.plant = plant
 
         checked = plant
         if dist_on and dist.kind == "force_N":
@@ -540,25 +520,29 @@ def _fmt6(x: float) -> str:
     return f"{v:.6g}"
 
 
+def _csv_text(header: tuple[str, ...], rows) -> str:
+    """CSV text of one header line and the rows, with LF line endings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def records_to_csv(records: list[TimeSeriesRecord]) -> str:
     """CSV text with the fixed column order, 6-significant-digit numbers,
     3-decimal times, and LF line endings."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow((
-            f"{r.time_s:.3f}",
-            r.finger,
-            r.desired_state.value,
-            _fmt6(r.r_img_pct),
-            _fmt6(r.r_target_pct),
-            _fmt6(r.delta_df_mm),
-            _fmt6(r.finger_pos_mm),
-            _fmt6(r.deformation_mm),
-            r.contact_state.value,
-            _fmt6(r.f_n_N),
-            _fmt6(r.f_max_long_N),
-            "1" if r.slide_flag else "0",
-        ))
-    return buf.getvalue()
+    return _csv_text(CSV_COLUMNS, ((
+        f"{r.time_s:.3f}",
+        r.finger,
+        r.desired_state.value,
+        _fmt6(r.r_img_pct),
+        _fmt6(r.r_target_pct),
+        _fmt6(r.delta_df_mm),
+        _fmt6(r.finger_pos_mm),
+        _fmt6(r.deformation_mm),
+        r.contact_state.value,
+        _fmt6(r.f_n_N),
+        _fmt6(r.f_max_long_N),
+        "1" if r.slide_flag else "0",
+    ) for r in records))

@@ -150,12 +150,16 @@ def test_max_resistible_force():
 
 
 def test_transition_interpolation_endpoints():
+    # at and outside the band edges (d_LC_end 1.9, d_SC_start 3.3) the
+    # interpolated f_MAX is the pure mode's, bit for bit
     for direction in Direction:
-        for f in (0.5, 1.7):
-            assert max_resistible_force_at(P, 1.9, direction, f) == pytest.approx(
-                max_resistible_force(P, ContactState.LC, direction, f), abs=1e-12)
-            assert max_resistible_force_at(P, 3.3, direction, f) == pytest.approx(
-                max_resistible_force(P, ContactState.SC, direction, f), abs=1e-12)
+        for f in (0.0, 0.5, 1.7):
+            for d in (0.0, 0.7, 1.5, 1.9):
+                assert max_resistible_force_at(P, d, direction, f) \
+                    == max_resistible_force(P, ContactState.LC, direction, f)
+            for d in (3.3, 3.5, 4.2, 9.0):
+                assert max_resistible_force_at(P, d, direction, f) \
+                    == max_resistible_force(P, ContactState.SC, direction, f)
             mid = max_resistible_force_at(P, 2.6, direction, f)
             lo = max_resistible_force(P, ContactState.LC, direction, f)
             hi = max_resistible_force(P, ContactState.SC, direction, f)

@@ -14,6 +14,7 @@ from cavs_sim.kinematics import (
     JointState,
     SolverFailure,
     deformation_limits,
+    fingertip_model,
     forward_points,
     projected_width_wx,
     rest_pose,
@@ -390,6 +391,25 @@ def test_caches_are_geometry_keyed():
     assert after.theta1 == before.theta1
     assert after.theta2 == before.theta2
     assert rest_pose(other).theta1 != rest_pose(GEOM).theta1
+
+
+def test_model_cache_is_bounded_and_an_evicted_model_rebuilds_the_same():
+    # l_r does not enter the linkage, so every one of these geometries is
+    # feasible, and each still gets its own FingertipModel
+    first = CavsGeometry(l_r=4.0)
+    depths = (0.0, 1.0, 2.5, 3.5)
+    model = fingertip_model(first)
+    cam = calibrate_sc_reference(CameraModel(), first)
+    poses = [solve_joint_angles(first, d) for d in depths]
+    ratios = [red_area_ratio(cam, first, d) for d in depths]
+    maxsize = fingertip_model.cache_info().maxsize
+    for k in range(1, maxsize + 2):
+        rest_pose(CavsGeometry(l_r=4.0 + k * 1e-3))
+    assert fingertip_model.cache_info().currsize <= maxsize
+    assert fingertip_model(first) is not model  # evicted, then rebuilt
+    assert [solve_joint_angles(first, d) for d in depths] == poses
+    assert calibrate_sc_reference(CameraModel(), first) == cam
+    assert [red_area_ratio(cam, first, d) for d in depths] == ratios
 
 
 def test_solves_are_order_and_thread_independent():

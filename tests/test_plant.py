@@ -1,6 +1,7 @@
 """Equilibrium solver, snap-through hysteresis, and the closed scenario loop."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -17,10 +18,10 @@ from cavs_sim.control import ControllerConfig
 from cavs_sim.friction import (ContactState, Direction, FrictionParams,
                                max_resistible_force, press_curve, pressing_force)
 from cavs_sim.kinematics import CavsGeometry
-from cavs_sim.plant import (CSV_COLUMNS, Disturbance, NoContact, ObjectModel, PlantState,
+from cavs_sim.plant import (CSV_COLUMNS, NO_CONTACT, Disturbance, ObjectModel, PlantState,
                             ScenarioStep, TimeSeriesRecord, default_slide_demand,
-                            equilibrium_solve, make_world, no_contact_state,
-                            records_to_csv, run_scenario, scenario_step, slide_check)
+                            equilibrium_solve, make_world, records_to_csv, run_scenario,
+                            scenario_step, slide_check)
 from cavs_sim.sensing import CameraModel, red_area_ratio
 from oracles import equilibria_grid_bisection, equilibria_scan
 
@@ -43,16 +44,23 @@ def _default_world(**kw):
 # ---------------------------------------------------------------- equilibrium
 
 def test_no_contact_and_gap_validation():
-    with pytest.raises(NoContact):
-        equilibrium_solve(FRIC, OBJ, 4.0, 4.0, d_sc=GEOM.d_sc)  # gap == width
-    with pytest.raises(NoContact):
-        equilibrium_solve(FRIC, OBJ, 5.0, 5.0, d_sc=GEOM.d_sc)
+    assert equilibrium_solve(FRIC, OBJ, 4.0, 4.0, d_sc=GEOM.d_sc) is NO_CONTACT  # gap == width
+    assert equilibrium_solve(FRIC, OBJ, 5.0, 5.0, (1.0, 2.0), d_sc=GEOM.d_sc) is NO_CONTACT
     with pytest.raises(ValueError):
         equilibrium_solve(FRIC, OBJ, -1.0, 0.5, d_sc=GEOM.d_sc)
-    idle = no_contact_state(5.0, 5.0)
-    assert not idle.contact
-    assert idle.d_left == idle.d_right == 0.0
-    assert idle.f_n_left == idle.f_n_right == 0.0
+    assert not NO_CONTACT.contact
+    assert NO_CONTACT.d_left == NO_CONTACT.d_right == 0.0
+    assert NO_CONTACT.f_n_left == NO_CONTACT.f_n_right == 0.0
+    assert NO_CONTACT.branch_memory == (0.0, 0.0)
+
+
+def test_plant_state_is_the_equilibrium_alone():
+    assert [f.name for f in dataclasses.fields(PlantState)] == \
+        ["d_left", "d_right", "f_n_left", "f_n_right", "contact"]
+    assert isinstance(PlantState.branch_memory, property)
+    st = equilibrium_solve(FRIC, OBJ, 1.0, 1.5, d_sc=GEOM.d_sc)
+    assert st.contact
+    assert st.branch_memory == (st.d_left, st.d_right)
 
 
 def test_rigid_object_limit():
@@ -105,7 +113,6 @@ def test_cold_memory_picks_smallest_root():
     d_sym = min(roots, key=lambda r: math.hypot(*r))
     assert st.d_left == pytest.approx(d_sym[0], abs=1e-6)
     assert st.d_right == pytest.approx(d_sym[1], abs=1e-6)
-    assert not st.snapped  # cold memory never counts as a jump
 
 
 def test_equidistant_tie_breaks_toward_smaller_left():
@@ -220,15 +227,17 @@ def test_snap_through_hysteresis_sweep():
     totals = {}
     snaps = {}
     for phase, gaps in (("close", gaps_close), ("open", gaps_open)):
-        tot, snapped_at = [], []
+        tot, jumps_at = [], []
         for g in gaps:
             st = equilibrium_solve(FRIC, SOFT, g / 2, g / 2, mem, d_sc=GEOM.d_sc)
+            # a jump of more than 1 mm from the memory is a snap; a cold
+            # memory never counts as one
+            if mem != (0.0, 0.0) and math.hypot(st.d_left - mem[0], st.d_right - mem[1]) > 1.0:
+                jumps_at.append(float(g))
             mem = st.branch_memory
             tot.append(st.d_left + st.d_right)
-            if st.snapped:
-                snapped_at.append(float(g))
         totals[phase] = np.asarray(tot)
-        snaps[phase] = snapped_at
+        snaps[phase] = jumps_at
 
     # exactly one jump per direction, at different gaps: path dependence
     assert len(snaps["close"]) == 1 and len(snaps["open"]) == 1
@@ -262,7 +271,7 @@ def test_tiny_squeeze_still_solves():
 def test_slide_check_hand_values():
     # LC finger at d=1.0: mu 1.0 * F + 0.15; SC finger at 3.5: 2.2 * F + 0.15
     f1 = float(_force(1.0))
-    st = PlantState(0.0, 0.0, 1.0, 3.5, f1, 1.89, (1.0, 3.5))
+    st = PlantState(1.0, 3.5, f1, 1.89)
     out = slide_check(FRIC, OBJ, st, Direction.longitudinal, 2.0)
     assert out.capacity_left == pytest.approx(1.0 * f1 + 0.15, abs=1e-12)
     assert out.capacity_right == pytest.approx(2.2 * 1.89 + 0.15, abs=1e-12)
@@ -481,11 +490,8 @@ def _replay(obj, records, memory, fric=FRIC):
     the branch memory carried from one tick to the next."""
     out = []
     for left, right in zip(records[0::2], records[1::2]):
-        try:
-            st = equilibrium_solve(fric, obj, left.finger_pos_mm, right.finger_pos_mm,
-                                   memory, d_sc=GEOM.d_sc)
-        except NoContact:
-            st = no_contact_state(left.finger_pos_mm, right.finger_pos_mm)
+        st = equilibrium_solve(fric, obj, left.finger_pos_mm, right.finger_pos_mm,
+                               memory, d_sc=GEOM.d_sc)
         memory = st.branch_memory
         out.append((st.d_left, st.d_right, st.f_n_left, st.f_n_right))
     return out
