@@ -136,7 +136,7 @@ def _summary_lines(summaries: list[StepSummary]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_control_demo(cfg: Config, args) -> int:
+def cmd_control_demo(cfg: Config, args) -> None:
     if args.out is None:
         raise ConfigError("control-demo requires --out for the time-series CSV")
     if args.scenario is None:
@@ -150,14 +150,13 @@ def cmd_control_demo(cfg: Config, args) -> int:
     records, summaries = run_scenario(world, list(scenario.steps), scenario.tick_dt_s)
     _write_atomic(args.out, records_to_csv(records).encode("utf-8"))
     sys.stdout.write(_summary_lines(summaries))
-    return 0
 
 
 def _parse_bundled(ref) -> Scenario:
     return parse_scenario(json.loads(ref.read_text(encoding="utf-8")))
 
 
-def cmd_render(cfg: Config, args) -> int:
+def cmd_render(cfg: Config, args) -> None:
     if args.out is None:
         raise ConfigError("render requires --out for the PPM file")
     if args.d is None or args.d < 0:
@@ -166,7 +165,6 @@ def cmd_render(cfg: Config, args) -> int:
     cam = calibrate_sc_reference(cfg.camera, cfg.geometry)
     frame = render_synthetic_frame(cam, cfg.geometry, args.d)
     _write_atomic(args.out, frame_to_ppm(frame))
-    return 0
 
 
 def cmd_solve(cfg: Config, args) -> str:
@@ -195,38 +193,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="Variable-friction fingertip simulator (kinematics, sensing, control, gripper plant)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, run) -> None:
+        p.set_defaults(run=run)  # the command's function, called by main
         p.add_argument("--config", metavar="PATH", help="JSON config (defaults when omitted)")
         p.add_argument("--out", metavar="PATH", help="output path")
         p.add_argument("--seed", type=int, metavar="N", help="override config seed")
 
     p = sub.add_parser("ratio-curve", help="deformation -> red-area-ratio CSV")
-    add_common(p)
+    add_common(p, cmd_ratio_curve)
     p.add_argument("--d-min", type=float, default=None)
     p.add_argument("--d-max", type=float, default=None, help="default: d_sc")
     p.add_argument("--step", type=float, default=0.01)
 
     p = sub.add_parser("press-curve", help="deformation -> press-force CSV")
-    add_common(p)
+    add_common(p, cmd_press_curve)
     p.add_argument("--d-max", type=float, default=None, help="default: d_sc")
     p.add_argument("--step", type=float, default=0.01)
 
     p = sub.add_parser("anisotropy", help="f_nslip -> f_MAX / ECMSF table")
-    add_common(p)
+    add_common(p, cmd_anisotropy)
     p.add_argument("--f-min", type=float, default=0.1)
     p.add_argument("--f-max", type=float, default=5.0)
     p.add_argument("--step", type=float, default=0.1)
 
     p = sub.add_parser("control-demo", help="closed-loop scenario -> time-series CSV + summary")
-    add_common(p)
+    add_common(p, cmd_control_demo)
     p.add_argument("--scenario", metavar="PATH", help="scenario JSON (bundled 5-step when omitted)")
 
     p = sub.add_parser("render", help="synthetic camera frame -> PPM")
-    add_common(p)
+    add_common(p, cmd_render)
     p.add_argument("--d", type=float, help="deformation in mm")
 
     p = sub.add_parser("solve", help="print angles/ratio for one deformation")
-    add_common(p)
+    add_common(p, cmd_solve)
     p.add_argument("--d", type=float, help="deformation in mm")
 
     return parser
@@ -244,20 +243,11 @@ def main(argv: list[str] | None = None) -> int:
             if args.seed < 0:
                 raise ConfigError("--seed must be >= 0")
             cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.command == "ratio-curve":
-            _emit(cmd_ratio_curve(cfg, args), args.out)
-        elif args.command == "press-curve":
-            _emit(cmd_press_curve(cfg, args), args.out)
-        elif args.command == "anisotropy":
-            _emit(cmd_anisotropy(cfg, args), args.out)
-        elif args.command == "control-demo":
-            return cmd_control_demo(cfg, args)
-        elif args.command == "render":
-            return cmd_render(cfg, args)
-        elif args.command == "solve":
-            _emit(cmd_solve(cfg, args), args.out)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
+        # the text commands return their text; control-demo and render
+        # write their own output and return None
+        text = args.run(cfg, args)
+        if text is not None:
+            _emit(text, args.out)
         return 0
     except (ConfigError, GeometryInfeasible, NotCalibrated, BehindCamera) as exc:
         print(f"error: {exc}", file=sys.stderr)

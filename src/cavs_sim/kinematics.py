@@ -20,16 +20,17 @@ E0 is slightly out of reach of l1 + l3), so the rest pose is the least-squares
 fit to the three endpoint conditions inside the admissible angle box, and the
 operating constraints above are anchored to the pose actually achieved.
 
-Everything derived from one geometry lives in one FingertipModel, built
-and kept by fingertip_model: the rest pose, the branch end and the
-d_sc reference state on construction, the deformation limits, found on the
-branch parameter, on first use.
+Everything derived from one geometry lives in one FingertipModel, which
+the geometry owns (CavsGeometry.model, built on first use and freed with
+the geometry): the rest pose, the branch end and the d_sc reference strip
+on construction, the deformation limits, found on the branch parameter, on
+first use.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,12 @@ class CavsGeometry:
                 raise GeometryInfeasible(f"{name} must be positive, got {getattr(self, name)}")
         if not self.d_sc > 0.0:
             raise GeometryInfeasible(f"d_sc must be positive, got {self.d_sc}")
+
+    @cached_property
+    def model(self) -> FingertipModel:
+        """This geometry's FingertipModel, built on first use.  Threads that
+        build it together hold the same values."""
+        return FingertipModel(self)
 
 
 @dataclass(frozen=True)
@@ -236,10 +243,10 @@ class FingertipModel:
     The rest pose is fitted on construction (GeometryInfeasible when there
     is none, or when it lies at the edge of C's reach), and so are the end
     of the followed branch and, when d_sc lies on the branch, the d_sc
-    reference state.  The branch is parametrized by the height of C on the
-    rail.  That height moves one way along the branch, at a rate
-    proportional to sin(theta2), as long as theta2 stays inside (0, pi);
-    given it, the chain A-B-C has one pose with theta2 in that box, and the
+    state and its strip, the sensing reference.  The branch is
+    parametrized by the height of C on the rail.  That height moves one
+    way along the branch, at a rate proportional to sin(theta2), as long
+    as theta2 stays inside (0, pi); given it, the chain A-B-C has one pose with theta2 in that box, and the
     apex depth d follows from the pose.  The parameter is
     q = sqrt(w_edge - w), where w is C's height above A, signed so that
     pressing raises it, and w_edge is where C runs out of reach (theta2 = 0
@@ -285,10 +292,12 @@ class FingertipModel:
         self._limits: tuple[float, float] | None = None
         # (q, branch point) at d_sc; solved from the rest pose, since the
         # seed of every later solve is built from it, as are the seed's
-        # slopes dq/dd at the rest pose and at d_sc
+        # slopes dq/dd at the rest pose and at d_sc, and the strip there
         self._sc: tuple[float, tuple] | None = None
+        self._sc_strip: tuple[float, float] | None = None
         if geom.d_sc <= self._d_end:
             self._sc = self._invert(geom.d_sc)
+            self._sc_strip = self._strip(self._sc[1])
             self._m_rest = 1.0 / self._branch(self._q_rest)[1]
             self._m_sc = 1.0 / self._sc[1][1]
 
@@ -382,27 +391,16 @@ class FingertipModel:
         """(p_Dy, cos gamma) at depth d, without forming the pose."""
         return self._strip(self._invert(d)[1])
 
-    def _reference(self) -> tuple[tuple, tuple[float, float]]:
-        """(branch point, strip) at d_sc."""
-        if self._sc is None:
+    def reference_strip(self) -> tuple[float, float]:
+        """strip(d_sc), the full-contact sensing reference, kept from
+        construction.  Raises GeometryInfeasible when d_sc is past the
+        branch end or the strip is edge-on to the camera there."""
+        if self._sc_strip is None:
             raise GeometryInfeasible(f"d_sc={self.geom.d_sc:g} is past the branch end "
                                      f"at {self._d_end:g} mm")
-        b = self._sc[1]
-        strip = self._strip(b)
-        if not strip[1] > 0.0:
+        if not self._sc_strip[1] > 0.0:
             raise GeometryInfeasible(f"the strip is edge-on to the camera at d_sc={self.geom.d_sc:g}")
-        return b, strip
-
-    def reference(self) -> JointState:
-        """The state at d = d_sc, the full-contact sensing reference.
-        Raises GeometryInfeasible when d_sc is past the branch end or the
-        strip is edge-on to the camera there."""
-        return self._pose(self._reference()[0])
-
-    def reference_strip(self) -> tuple[float, float]:
-        """strip(d_sc), from the same branch point as reference(), and
-        raising where it does."""
-        return self._reference()[1]
+        return self._sc_strip
 
     def limits(self) -> tuple[float, float]:
         """See deformation_limits."""
@@ -427,20 +425,6 @@ class FingertipModel:
         return self._limits
 
 
-# models kept by fingertip_model: one per geometry in use, while a process
-# that calibrates many geometries keeps only the recent ones (a model is
-# about 1.5 kB, and rebuilding an evicted one gives the same values)
-_MODEL_CACHE = 256
-
-
-@functools.lru_cache(maxsize=_MODEL_CACHE)
-def fingertip_model(geom: CavsGeometry) -> FingertipModel:
-    """The FingertipModel of a geometry, built on first use and kept while
-    it is among the _MODEL_CACHE most recently used.  Threads that miss
-    together may each build one; they hold the same values."""
-    return FingertipModel(geom)
-
-
 def rest_pose(geom: CavsGeometry) -> RestPose:
     """Least-squares root of the three rest endpoint conditions
     {p_Ex = p_ex0, p_Ey = p_ey0, p_Cx = p_cx0} over the angle box.
@@ -452,7 +436,7 @@ def rest_pose(geom: CavsGeometry) -> RestPose:
     GeometryInfeasible when the fit does not converge or ends on the box
     edge.
     """
-    return fingertip_model(geom).rest
+    return geom.model.rest
 
 
 def forward_points(geom: CavsGeometry, theta1: float, theta2: float) -> JointState:
@@ -476,7 +460,7 @@ def solve_joint_angles(geom: CavsGeometry, d: float) -> JointState:
     construction.  Raises SolverFailure for d past the branch end (9.57 mm
     on the default geometry, where theta2 reaches 0; beyond its d_max).
     """
-    return fingertip_model(geom).solve(d)
+    return geom.model.solve(d)
 
 
 def projected_width_wx(state: JointState, geom: CavsGeometry) -> float:
@@ -497,4 +481,4 @@ def deformation_limits(geom: CavsGeometry) -> tuple[float, float]:
     it returns, and d_max steps back by 1e-12 mm until they hold there.
     Raises GeometryInfeasible when the rest pose breaks the bounds.
     """
-    return fingertip_model(geom).limits()
+    return geom.model.limits()

@@ -39,7 +39,7 @@ from .control import ControllerConfig, dual_finger_step
 from .friction import (ContactState, Direction, FrictionParams, PressCurve,
                        classify_contact_state, max_resistible_force, max_resistible_force_at,
                        press_curve, press_force_scalar, pressing_force)
-from .kinematics import CavsGeometry, SolverFailure, solve_joint_angles
+from .kinematics import CavsGeometry, SolverFailure
 from .sensing import CameraModel, calibrate_sc_reference, red_area_ratio, reported_ratio
 
 
@@ -271,8 +271,7 @@ def equilibrium_solve(fric: FrictionParams, obj: ObjectModel,
         return (round(dist, 9), round(root[0] + root[1], 9), root[0])
 
     d_l, d_r = min(roots, key=rank)
-    return PlantState(d_l, d_r, float(pressing_force(curve, d_l)),
-                      float(pressing_force(curve, d_r)))
+    return PlantState(d_l, d_r, press_force_scalar(curve, d_l), press_force_scalar(curve, d_r))
 
 
 def slide_check(fric: FrictionParams, obj: ObjectModel, state: PlantState,
@@ -323,8 +322,8 @@ def default_slide_demand(geom: CavsGeometry, fric: FrictionParams,
                 hi = mid
         d_lc = 0.5 * (lo + hi)
     curve = press_curve(fric, geom.d_sc)
-    f_lc = float(pressing_force(curve, d_lc))
-    f_sc = float(pressing_force(curve, geom.d_sc))
+    f_lc = press_force_scalar(curve, d_lc)
+    f_sc = press_force_scalar(curve, geom.d_sc)
     lc_max = max_resistible_force(fric, ContactState.LC, Direction.longitudinal, f_lc)
     sc_max = max_resistible_force(fric, ContactState.SC, Direction.longitudinal, f_sc)
     return 0.5 * (lc_max + sc_max)

@@ -14,12 +14,12 @@ stay in view.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kinematics import CavsGeometry, GeometryInfeasible, JointState, fingertip_model, \
-    projected_width_wx, solve_joint_angles
+from .kinematics import CavsGeometry, GeometryInfeasible, JointState, solve_joint_angles
 
 
 class BehindCamera(ValueError):
@@ -56,24 +56,30 @@ class SyntheticFrame:
     height: int
 
 
+def _pinhole_width(cam: CameraModel, geom: CavsGeometry, p_dy: float, cos_g: float) -> float:
+    """Image width in pixels of a strip whose end lies p_dy in front of the
+    camera and whose angle gamma has cosine cos_g."""
+    if p_dy <= 0:
+        raise BehindCamera(f"strip end depth {p_dy:g} mm is not in front of the camera")
+    return cam.focal_px / p_dy * (geom.l_r * max(0.0, cos_g))
+
+
 def image_width_wimg(cam: CameraModel, state: JointState, geom: CavsGeometry) -> float:
     """Projected strip width in pixels at the given state."""
-    depth = state.p_D[1]
-    if depth <= 0:
-        raise BehindCamera(f"strip end depth {depth:g} mm is not in front of the camera")
-    return cam.focal_px / depth * projected_width_wx(state, geom)
+    return _pinhole_width(cam, geom, state.p_D[1], math.cos(state.gamma))
 
 
 def calibrate_sc_reference(cam: CameraModel, geom: CavsGeometry) -> CameraModel:
     """Camera with w_SCimg set to the projected width at d = d_sc.
 
     Idempotent: recalibrating an already-calibrated camera sets the same
-    reference, the geometry's d_sc state, which its FingertipModel builds
-    on construction.  Raises GeometryInfeasible when d_sc is past the
-    branch end or the strip shows no width there, BehindCamera when its
-    end is not in front of the camera.
+    reference, the d_sc strip the geometry's FingertipModel keeps from
+    construction (reference_strip), which red_area_ratio divides by too.
+    Raises GeometryInfeasible when d_sc is past the branch end or the strip
+    shows no width there, BehindCamera when its end is not in front of the
+    camera.
     """
-    w = image_width_wimg(cam, fingertip_model(geom).reference(), geom)
+    w = _pinhole_width(cam, geom, *geom.model.reference_strip())
     if not w > 0.0:
         raise GeometryInfeasible(f"the strip shows no width in the image at d_sc={geom.d_sc:g}")
     return replace(cam, w_SCimg=w)
@@ -85,14 +91,15 @@ def red_area_ratio(cam: CameraModel, geom: CavsGeometry, d: float) -> float:
     Evaluated in cancelled form, (p_Dy(d_sc) * cos gamma(d)) /
     (p_Dy(d) * cos gamma(d_sc)), so the result is bit-for-bit independent
     of focal_px and l_r.  The four values are the only ones read from the
-    FingertipModel, no pose is formed, and both pairs come from the same
-    path, so the ratio at d_sc is exactly 1.0.  The calibrated reference
-    gates the workflow and scales the pixel detector; it does not enter
-    this quotient.
+    geometry's FingertipModel, no pose is formed, and the d_sc pair is the
+    reference strip the model keeps from construction, found on the same
+    path as the strip at d, so the ratio at d_sc is exactly 1.0.  The
+    calibrated reference gates the workflow and scales the pixel detector;
+    it does not enter this quotient.
     """
     if cam.w_SCimg is None:
         raise NotCalibrated("red_area_ratio requires a calibrated camera")
-    model = fingertip_model(geom)
+    model = geom.model
     p_dy, cos_g = model.strip(d)
     if p_dy <= 0:
         raise BehindCamera(f"strip end depth {p_dy:g} mm at d={d:g}")

@@ -16,6 +16,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from cavs_sim.cli import main
 from cavs_sim.config import parse_scenario
 from cavs_sim.control import ContactState as Mode
 from cavs_sim.control import ControllerConfig, control_step
@@ -243,12 +244,37 @@ def _bundled_scenario():
 
 
 GOLDEN_CSV_SHA256 = "efe24b78d69ff4ffeb90a9e9dd42b3734a504be52606f634f864b49104a3eaba"
+# what each command prints, or writes to --out for render, with the default
+# config; control-demo's CSV is GOLDEN_CSV_SHA256
+GOLDEN_CLI_SHA256 = {
+    "control-demo": "9ac9f842ec2414e8607465c86d3b688b7dd62a8872533287b2e584e13e123b84",
+    "ratio-curve": "00500756466f2b8a704da84bbe4cd5d4afb3186c6bf358ff05ecda9b29166ec2",
+    "press-curve": "70e385f0398f7512394233e15da3ccffda2eda494a4c8b4346c283f711f2ba4d",
+    "anisotropy": "194658f167f9708e0a7351d2a47751e7595545885cb5234b94e5157edceee1b6",
+    "solve --d 1.9": "5d1dd9b69337576eb0f34605e11af02769555367d705bee5987166c740d1d97f",
+    "render --d 1.2": "7c91936c74920e1cd8ddd83655b453cb40286c60f17def9e6cddce076a3ac599",
+}
 
 
 def _run(steps, scenario, seed=0):
     world = make_world(GEOM, CameraModel(), FRIC, CTRL, OBJ,
                        initial_gap=scenario.initial_gap_mm, seed=seed)
     return run_scenario(world, list(steps), scenario.tick_dt_s)
+
+
+def test_every_default_cli_output_is_pinned(tmp_path, capsys):
+    def sha256(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    with _Budget(10.0):
+        for command, want in GOLDEN_CLI_SHA256.items():
+            name = command.split()[0]
+            out = tmp_path / name
+            writes = name in ("control-demo", "render")
+            assert main(command.split() + (["--out", str(out)] if writes else [])) == 0
+            printed = capsys.readouterr().out.encode("utf-8")
+            assert sha256(out.read_bytes() if name == "render" else printed) == want, command
+        assert sha256((tmp_path / "control-demo").read_bytes()) == GOLDEN_CSV_SHA256
 
 
 def test_bundled_scenario_reproduction():

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from cavs_sim.kinematics import (
     JointState,
     SolverFailure,
     deformation_limits,
-    fingertip_model,
     forward_points,
     projected_width_wx,
     rest_pose,
@@ -393,29 +394,62 @@ def test_caches_are_geometry_keyed():
     assert rest_pose(other).theta1 != rest_pose(GEOM).theta1
 
 
-def test_model_cache_is_bounded_and_an_evicted_model_rebuilds_the_same():
-    # l_r does not enter the linkage, so every one of these geometries is
-    # feasible, and each still gets its own FingertipModel
-    first = CavsGeometry(l_r=4.0)
+def test_the_geometry_owns_its_model_and_an_equal_geometry_rebuilds_the_same():
+    # l_r does not enter the linkage, so this geometry is feasible and
+    # shares no model with the default one
     depths = (0.0, 1.0, 2.5, 3.5)
-    model = fingertip_model(first)
-    cam = calibrate_sc_reference(CameraModel(), first)
-    poses = [solve_joint_angles(first, d) for d in depths]
-    ratios = [red_area_ratio(cam, first, d) for d in depths]
-    maxsize = fingertip_model.cache_info().maxsize
-    for k in range(1, maxsize + 2):
-        rest_pose(CavsGeometry(l_r=4.0 + k * 1e-3))
-    assert fingertip_model.cache_info().currsize <= maxsize
-    assert fingertip_model(first) is not model  # evicted, then rebuilt
-    assert [solve_joint_angles(first, d) for d in depths] == poses
-    assert calibrate_sc_reference(CameraModel(), first) == cam
-    assert [red_area_ratio(cam, first, d) for d in depths] == ratios
+
+    def outputs(geom):
+        cam = calibrate_sc_reference(CameraModel(), geom)
+        return ([solve_joint_angles(geom, d) for d in depths], cam,
+                [red_area_ratio(cam, geom, d) for d in depths])
+
+    first = CavsGeometry(l_r=4.0)
+    assert first.model is first.model
+    want = outputs(first)
+    # the model and its geometry form a cycle; both go once nothing else
+    # holds the geometry
+    model = weakref.ref(first.model)
+    del first
+    gc.collect()
+    assert model() is None
+    # an equal geometry built afresh gets a new model with the same values
+    fresh = CavsGeometry(l_r=4.0)
+    assert "model" not in vars(fresh)
+    assert outputs(fresh) == want
+
+
+_WORKERS = 4  # more than the cores of a small machine
+
+
+def _race(geom):
+    """solve_joint_angles(geom, 3.0) from _WORKERS threads released together."""
+    start = threading.Barrier(_WORKERS, timeout=30.0)
+    got = []
+
+    def solve():
+        start.wait()
+        got.append(solve_joint_angles(geom, 3.0))
+
+    threads = [threading.Thread(target=solve) for _ in range(_WORKERS)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads finely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return got
 
 
 def test_solves_are_order_and_thread_independent():
     # l_r does not enter the linkage, so these geometries share every angle
     # while each gets its own FingertipModel
-    cold, warmed, raced = (CavsGeometry(p_ay=2.77, l_r=l_r) for l_r in (5.01, 5.02, 5.03))
+    cold, warmed, raced, fresh = (CavsGeometry(p_ay=2.77, l_r=l_r)
+                                  for l_r in (5.01, 5.02, 5.03, 5.04))
     # depths every 0.05 mm up to d = 3.5, past the raced depth
     depths = [k * 0.05 for k in range(71)]
 
@@ -440,28 +474,13 @@ def test_solves_are_order_and_thread_independent():
     assert sweep(warmed) == want_sweep
     assert ratios(warmed) == want_ratios
 
-    # concurrent first solves on one model agree with the serial ones and
-    # leave its later solves unchanged
-    rest_pose(raced)  # the model exists before the threads start
-    workers = 4  # more than the cores of a small machine
-    start = threading.Barrier(workers, timeout=30.0)
-    got = []
+    # concurrent first solves agree with the serial ones and leave later
+    # solves unchanged, both on a model that exists before the threads
+    # start and on one they build together
+    rest_pose(raced)
+    assert "model" not in vars(fresh)
+    for geom in (raced, fresh):
+        assert _race(geom) == [want] * _WORKERS
+        assert sweep(geom) == want_sweep
+        assert ratios(geom) == want_ratios
 
-    def solve():
-        start.wait()
-        got.append(solve_joint_angles(raced, 3.0))
-
-    threads = [threading.Thread(target=solve) for _ in range(workers)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the threads finely
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert got == [want] * workers
-    assert sweep(raced) == want_sweep
-    assert ratios(raced) == want_ratios
